@@ -47,6 +47,12 @@ EXIT_USAGE = 1
 EXIT_FORMAT = 2
 EXIT_NUMERICAL = 3
 
+# Singular values of [Re Phi, Im Phi] above this fraction of the largest
+# span the modal truth; an input map farther than MODAL_SPAN_TOL (relative)
+# from that span is not realizable on it.
+MODAL_SPAN_THRESHOLD = 1e-10
+MODAL_SPAN_TOL = 1e-8
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -340,12 +346,37 @@ def _record_realization(record: dio.ModelRecord) -> StateSpaceRealization:
 
 
 def _truth_realization(truth, dt: float) -> StateSpaceRealization:
-    if truth.a_true is None or truth.b_true is None:
-        raise SchemaError("truth document carries no dense operators")
-    c = truth.c_true
-    if c is None:
-        c = np.eye(truth.a_true.shape[0])
-    return StateSpaceRealization(a=truth.a_true, b=truth.b_true, c=c, dt=dt)
+    if truth.b_true is None:
+        raise SchemaError("truth document carries no input map")
+    if truth.a_true is not None:
+        c = truth.c_true
+        if c is None:
+            c = np.eye(truth.a_true.shape[0])
+        return StateSpaceRealization(a=truth.a_true, b=truth.b_true, c=c, dt=dt)
+    if truth.modes_true is None:
+        raise SchemaError("truth document carries neither a dense operator nor modes")
+    return _modal_realization(truth, dt)
+
+
+def _modal_realization(truth, dt: float) -> StateSpaceRealization:
+    """Real realization of A = Phi diag(lambda) pinv(Phi) on span[Re Phi, Im Phi].
+
+    With Q an orthonormal basis of that span (left singular vectors, since
+    the 4k columns of [Re Phi, Im Phi] have rank 2k), A = Q A~ Q^T for
+    A~ = Re(Q^T Phi diag(lambda) pinv(Q^T Phi)). So (A~, Q^T b, C Q) has the
+    transfer function of (A, b, C) whenever b lies in the span.
+    """
+    phi = truth.modes_true
+    u, s, _ = np.linalg.svd(np.hstack([phi.real, phi.imag]), full_matrices=False)
+    q = u[:, s > MODAL_SPAN_THRESHOLD * s[0]]
+    m = q.T @ phi
+    a = np.real((m * truth.eigs_true) @ np.linalg.pinv(m))
+    b_true = truth.b_true
+    b = q.T @ b_true
+    if np.linalg.norm(b_true - q @ b) > MODAL_SPAN_TOL * np.linalg.norm(b_true):
+        raise SchemaError("truth input map does not lie in the span of the modes")
+    c = q if truth.c_true is None else truth.c_true @ q
+    return StateSpaceRealization(a=a, b=b, c=c, dt=dt)
 
 
 def _sigma_curves(ss: StateSpaceRealization, omegas) -> np.ndarray:

@@ -6,11 +6,17 @@ modes lifted back to full state dimension.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, ShapeError
+from .errors import (
+    InsufficientDataError,
+    InvalidConfigError,
+    InvalidInputError,
+    ShapeError,
+)
 from .linalg import (
     EigenDecomposition,
     TruncationPolicy,
@@ -52,6 +58,14 @@ class DmdModel:
                 f"refusing to materialize a {n}x{n} operator (cap {max_dim})"
             )
         return self.lift @ self.basis.T
+
+
+def _checked_dt(dt) -> float:
+    """Return the sampling interval as a float; it must be finite and positive."""
+    value = float(dt)
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidConfigError(f"dt must be finite and positive, got {dt!r}")
+    return value
 
 
 def split_trajectory(traj) -> tuple[np.ndarray, np.ndarray]:
@@ -113,6 +127,7 @@ def dmd_fit(x, xp, trunc: TruncationPolicy = None, dt: float = 1.0) -> DmdModel:
     On noiseless data x_{k+1} = A x_k with the truncation capturing the
     full state rank, the eigenvalues of ``a_tilde`` equal those of A.
     """
+    dt = _checked_dt(dt)
     x = as_matrix(x, "x")
     xp = as_matrix(xp, "xp")
     if x.shape != xp.shape:
@@ -125,6 +140,6 @@ def dmd_fit(x, xp, trunc: TruncationPolicy = None, dt: float = 1.0) -> DmdModel:
         eigen=eigen,
         modes=modes,
         rank=svd.rank,
-        dt=float(dt),
+        dt=dt,
         lift=lift,
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dmd import FULL_OPERATOR_MAX_DIM, exact_modes, _fit_reduced
+from .dmd import FULL_OPERATOR_MAX_DIM, _checked_dt, _fit_reduced, exact_modes
 from .errors import InvalidInputError, ShapeError, TruncationOrderError
 from .linalg import (
     DEFAULT_SVD_THRESHOLD,
@@ -108,6 +108,7 @@ def dmdc_fit_known_b(
     the regression; with all-zero inputs the result equals ``dmd_fit``
     exactly.
     """
+    dt = _checked_dt(dt)
     x = as_matrix(x, "x")
     xp = as_matrix(xp, "xp")
     ups = as_matrix(upsilon, "upsilon", allow_zero_rows=True)
@@ -135,7 +136,7 @@ def dmdc_fit_known_b(
         modes=modes,
         input_rank=svd.rank,
         output_rank=svd.rank,
-        dt=float(dt),
+        dt=dt,
         lift=lift,
         op_left=lift,
         op_right=svd.u.T,
@@ -170,6 +171,7 @@ def dmdc_fit_unknown_b(
     data (u linearly dependent on x rows) still yields the least-squares
     model but raises the report's flag.
     """
+    dt = _checked_dt(dt)
     x = as_matrix(x, "x")
     xp = as_matrix(xp, "xp")
     ups = as_matrix(upsilon, "upsilon", allow_zero_rows=True)
@@ -217,7 +219,7 @@ def dmdc_fit_unknown_b(
         modes=modes,
         input_rank=p,
         output_rank=r,
-        dt=float(dt),
+        dt=dt,
         lift=mode_lift,
         op_left=xvs,
         op_right=u1.T,

@@ -2,11 +2,19 @@
 
 All writers are atomic (write to a temp file, rename on success) and all
 round trips are bitwise stable: CSV cells use shortest round-trip decimal
-reprs, the binary format is little-endian float64, and structured records
-store every scalar as an exact decimal-hex pair.
+reprs and the binary format is little-endian float64.
+
+Model records and ground truth are a JSON index plus binary sidecars. The
+index holds the small fields (kinds, ranks, dt, reduced operators,
+eigenvalues, provenance) with every float as an exact decimal-hex pair.
+Each n-sized matrix lives in a sibling ``<stem>_<tag>.bin`` file (complex
+ones split into ``_re`` and ``_im``) that the index names together with
+the sha256 of its bytes, so a stale or edited sidecar is rejected.
+Sidecars are written before the index, each atomically.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -38,20 +46,16 @@ def _atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-def _atomic_write_text(path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def write_text_atomic(path, text: str) -> None:
     """Write UTF-8 text with no partial output on failure."""
-    _atomic_write_text(path, text)
+    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_matrix_csv(m, path) -> None:
     """Write a matrix as CSV, one state row per line, snapshots as columns."""
     a = as_matrix(m, "matrix")
     lines = "\n".join(",".join(repr(float(v)) for v in row) for row in a)
-    _atomic_write_text(path, lines + "\n")
+    write_text_atomic(path, lines + "\n")
 
 
 def read_matrix_csv(path, transpose: bool = False) -> np.ndarray:
@@ -91,16 +95,23 @@ def read_matrix_csv(path, transpose: bool = False) -> np.ndarray:
     return a.T.copy() if transpose else a
 
 
-def write_matrix_bin(m, path) -> None:
-    """Write the binary matrix format: magic, u64 dims, column-major f64."""
+def _bin_bytes(m) -> bytes:
     a = as_matrix(m, "matrix")
     head = BIN_MAGIC + struct.pack("<QQ", a.shape[0], a.shape[1])
-    _atomic_write_bytes(path, head + a.astype("<f8").tobytes(order="F"))
+    return head + a.astype("<f8").tobytes(order="F")
+
+
+def write_matrix_bin(m, path) -> None:
+    """Write the binary matrix format: magic, u64 dims, column-major f64."""
+    _atomic_write_bytes(path, _bin_bytes(m))
 
 
 def read_matrix_bin(path) -> np.ndarray:
     """Read the binary matrix format written by write_matrix_bin."""
-    data = Path(path).read_bytes()
+    return _bin_matrix(Path(path).read_bytes(), path)
+
+
+def _bin_matrix(data: bytes, path) -> np.ndarray:
     if len(data) < 8 or data[:8] != BIN_MAGIC:
         raise FormatError(f"{path}: bad magic bytes")
     if len(data) < 24:
@@ -170,17 +181,69 @@ def _dec_real_matrix(rows, where: str) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def _enc_complex_matrix(m) -> list:
-    return [[_enc_complex(v) for v in row] for row in np.atleast_2d(np.asarray(m))]
+# --- binary sidecars --------------------------------------------------------
+#
+# A sidecar entry in an index is {"file": name, "sha256": hex digest}; a
+# complex matrix is {"re": entry, "im": entry}. Sidecar names are plain
+# ``.bin`` file names resolved next to the index, so an index cannot point
+# a reader elsewhere.
+
+def _write_sidecar(index: Path, tag: str, mat) -> dict | None:
+    if mat is None:
+        return None
+    name = f"{index.stem}_{tag}.bin"
+    data = _bin_bytes(mat)
+    _atomic_write_bytes(index.parent / name, data)
+    return {"file": name, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _dec_complex_matrix(rows, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError(f"{where}: expected a non-empty array of rows")
-    out = [[_dec_complex(p, where) for p in row] for row in rows]
-    if len({len(r) for r in out}) != 1:
-        raise SchemaError(f"{where}: ragged rows")
-    return np.array(out, dtype=np.complex128)
+def _read_sidecar(index: Path, entry, where: str) -> np.ndarray | None:
+    if entry is None:
+        return None
+    if (
+        not isinstance(entry, dict)
+        or not isinstance(entry.get("file"), str)
+        or not isinstance(entry.get("sha256"), str)
+    ):
+        raise SchemaError(
+            f"{where}: expected a sidecar entry {{file, sha256}}, "
+            f"got {type(entry).__name__}"
+        )
+    name = entry["file"]
+    if Path(name).name != name or not name.endswith(".bin"):
+        raise SchemaError(f"{where}: sidecar {name!r} is not a plain .bin file name")
+    side = index.parent / name
+    try:
+        data = side.read_bytes()
+    except FileNotFoundError:
+        raise FormatError(f"{side}: sidecar named by {where} is missing") from None
+    mat = _bin_matrix(data, side)
+    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
+        raise SchemaError(f"{where}: {side} does not match its sha256 digest")
+    return mat
+
+
+def _write_complex_sidecars(index: Path, tag: str, z) -> dict | None:
+    if z is None:
+        return None
+    return {
+        "re": _write_sidecar(index, f"{tag}_re", np.real(z)),
+        "im": _write_sidecar(index, f"{tag}_im", np.imag(z)),
+    }
+
+
+def _read_complex_sidecars(index: Path, entry, where: str) -> np.ndarray | None:
+    if entry is None:
+        return None
+    if not isinstance(entry, dict) or entry.keys() != {"re", "im"}:
+        raise SchemaError(f"{where}: expected {{re, im}} sidecar entries")
+    re_part = _read_sidecar(index, entry["re"], f"{where}.re")
+    im_part = _read_sidecar(index, entry["im"], f"{where}.im")
+    if re_part is None or im_part is None or re_part.shape != im_part.shape:
+        raise SchemaError(f"{where}: needs real and imaginary parts of one shape")
+    z = np.empty(re_part.shape, dtype=np.complex128)
+    z.real, z.imag = re_part, im_part  # bitwise, signed zeros included
+    return z
 
 
 @dataclass(frozen=True)
@@ -222,9 +285,15 @@ class ModelRecord:
 
 
 def write_model(record: ModelRecord, path) -> None:
-    """Serialize a model record as a structured JSON document."""
+    """Serialize a model record: a JSON index plus its basis and mode sidecars.
+
+    The sidecars are ``<stem>_basis.bin``, ``<stem>_modes_re.bin`` and
+    ``<stem>_modes_im.bin`` next to ``path``; they are written first and
+    the index last.
+    """
     if record.kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model kind {record.kind!r}")
+    path = Path(path)
     doc = {
         "kind": record.kind,
         "rank_p": int(record.rank_p),
@@ -234,12 +303,12 @@ def write_model(record: ModelRecord, path) -> None:
         "b_tilde": None
         if record.b_tilde is None
         else _enc_real_matrix(record.b_tilde),
-        "basis": _enc_real_matrix(record.basis),
+        "basis": _write_sidecar(path, "basis", record.basis),
         "eigenvalues": [_enc_complex(z) for z in record.eigenvalues],
-        "modes": _enc_complex_matrix(record.modes),
+        "modes": _write_complex_sidecars(path, "modes", record.modes),
         "provenance": record.provenance,
     }
-    _atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    write_text_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
 def _require(doc: dict, key: str, path):
@@ -249,9 +318,15 @@ def _require(doc: dict, key: str, path):
 
 
 def read_model(path) -> ModelRecord:
-    """Read a model record; raises SchemaError on structural problems."""
+    """Read a model index and its sidecars.
+
+    Raises SchemaError on structural problems or a sidecar that does not
+    match its digest, FormatError for a missing or malformed sidecar and
+    LengthError for a truncated one.
+    """
+    path = Path(path)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not a valid model document: {exc}") from None
     if not isinstance(doc, dict):
@@ -267,6 +342,10 @@ def read_model(path) -> ModelRecord:
     eig_raw = _require(doc, "eigenvalues", path)
     if not isinstance(eig_raw, list):
         raise SchemaError(f"{path}: eigenvalues must be an array")
+    basis = _read_sidecar(path, _require(doc, "basis", path), f"{path}: basis")
+    modes = _read_complex_sidecars(path, _require(doc, "modes", path), f"{path}: modes")
+    if basis is None or modes is None:
+        raise SchemaError(f"{path}: basis and modes must name sidecars")
     record = ModelRecord(
         kind=kind,
         rank_p=rank_p,
@@ -274,12 +353,12 @@ def read_model(path) -> ModelRecord:
         dt=_dec_real(_require(doc, "dt", path), f"{path}: dt"),
         a_tilde=_dec_real_matrix(_require(doc, "a_tilde", path), f"{path}: a_tilde"),
         b_tilde=None if b_raw is None else _dec_real_matrix(b_raw, f"{path}: b_tilde"),
-        basis=_dec_real_matrix(_require(doc, "basis", path), f"{path}: basis"),
+        basis=basis,
         eigenvalues=np.array(
             [_dec_complex(z, f"{path}: eigenvalues") for z in eig_raw],
             dtype=np.complex128,
         ),
-        modes=_dec_complex_matrix(_require(doc, "modes", path), f"{path}: modes"),
+        modes=modes,
         provenance=_require(doc, "provenance", path),
     )
     r = record.a_tilde.shape[0]
@@ -287,6 +366,8 @@ def read_model(path) -> ModelRecord:
         raise SchemaError(f"{path}: a_tilde must be square")
     if record.basis.shape[1] != r or record.modes.shape[1] != r:
         raise SchemaError(f"{path}: basis/modes width disagrees with a_tilde")
+    if record.basis.shape[0] != record.modes.shape[0]:
+        raise SchemaError(f"{path}: basis and modes differ in state dimension")
     if record.eigenvalues.shape[0] != r:
         raise SchemaError(f"{path}: eigenvalue count disagrees with a_tilde")
     return record
@@ -295,23 +376,12 @@ def read_model(path) -> ModelRecord:
 def write_truth(truth: GroundTruth, path, dt: float = 1.0) -> None:
     """Write ground truth: a JSON index plus sibling binary matrices."""
     path = Path(path)
-    files: dict[str, str | None] = {}
-
-    def _side(tag: str, mat) -> str | None:
-        if mat is None:
-            return None
-        name = f"{path.stem}_{tag}.bin"
-        write_matrix_bin(mat, path.parent / name)
-        return name
-
-    files["a_true"] = _side("a_true", truth.a_true)
-    files["b_true"] = _side("b_true", truth.b_true)
-    files["c_true"] = _side("c_true", truth.c_true)
-    if truth.modes_true is not None:
-        files["modes_true_re"] = _side("modes_re", truth.modes_true.real)
-        files["modes_true_im"] = _side("modes_im", truth.modes_true.imag)
-    else:
-        files["modes_true_re"] = files["modes_true_im"] = None
+    files = {
+        "a_true": _write_sidecar(path, "a_true", truth.a_true),
+        "b_true": _write_sidecar(path, "b_true", truth.b_true),
+        "c_true": _write_sidecar(path, "c_true", truth.c_true),
+        "modes_true": _write_complex_sidecars(path, "modes", truth.modes_true),
+    }
     doc = {
         "kind": "ground-truth",
         "seed": int(truth.seed),
@@ -319,7 +389,7 @@ def write_truth(truth: GroundTruth, path, dt: float = 1.0) -> None:
         "eigenvalues": [_enc_complex(z) for z in truth.eigs_true],
         "files": files,
     }
-    _atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    write_text_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
 def read_truth(path) -> tuple[GroundTruth, float]:
@@ -339,13 +409,8 @@ def read_truth(path) -> tuple[GroundTruth, float]:
         raise SchemaError(f"{path}: seed must be an integer")
 
     def _load(tag: str):
-        name = files.get(tag)
-        return None if name is None else read_matrix_bin(path.parent / name)
+        return _read_sidecar(path, files.get(tag), f"{path}: files.{tag}")
 
-    modes = None
-    re_part, im_part = _load("modes_true_re"), _load("modes_true_im")
-    if re_part is not None and im_part is not None:
-        modes = re_part + 1j * im_part
     truth = GroundTruth(
         a_true=_load("a_true"),
         b_true=_load("b_true"),
@@ -355,7 +420,9 @@ def read_truth(path) -> tuple[GroundTruth, float]:
              _require(doc, "eigenvalues", path)],
             dtype=np.complex128,
         ),
-        modes_true=modes,
+        modes_true=_read_complex_sidecars(
+            path, files.get("modes_true"), f"{path}: files.modes_true"
+        ),
         seed=seed,
     )
     return truth, _dec_real(_require(doc, "dt", path), f"{path}: dt")

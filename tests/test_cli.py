@@ -1,7 +1,11 @@
-import numpy as np
+import dataclasses
 
+import numpy as np
+import pytest
+
+from dmdc import SchemaError, gen_sparse_fourier
 from dmdc import io as dio
-from dmdc.cli import main
+from dmdc.cli import _truth_realization, main
 from helpers import EX1_B, EX1_TRAJ, EX1_UPS, EX1_X, EX1_XP
 
 
@@ -348,3 +352,84 @@ def test_console_entry_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     np.testing.assert_array_equal(dio.read_matrix_csv(out / "x.csv"), EX1_X)
+
+
+def _fit_example1_traj(tmp_path):
+    dio.write_matrix_csv(EX1_TRAJ, tmp_path / "traj.csv")
+    out = tmp_path / "fit"
+    assert main(["fit", "--traj", str(tmp_path / "traj.csv"),
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_fit_output_is_index_sidecars_and_table(tmp_path):
+    out = _fit_example1_traj(tmp_path)
+    assert sorted(f.name for f in out.iterdir()) == [
+        "eigenvalues.csv", "model.json", "model_basis.bin",
+        "model_modes_im.bin", "model_modes_re.bin",
+    ]
+
+
+def test_compare_missing_sidecar_exits_2(tmp_path, capsys):
+    out = _fit_example1_traj(tmp_path)
+    (out / "model_modes_re.bin").unlink()
+    code = main(["compare", "--model", str(out / "model.json"),
+                 "--model2", str(out / "model.json"), "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "model_modes_re.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", ["nan", "-1", "0", "inf"])
+def test_fit_rejects_bad_dt(tmp_path, capsys, dt):
+    dio.write_matrix_csv(EX1_TRAJ, tmp_path / "traj.csv")
+    _write_ex1(tmp_path)
+    code = main(["fit", "--traj", str(tmp_path / "traj.csv"), f"--dt={dt}",
+                 "--out", str(tmp_path / "fit")])
+    assert code == 1
+    assert "dt must be finite and positive" in capsys.readouterr().err
+    code = main(["fitc", "--x", str(tmp_path / "x.csv"),
+                 "--xp", str(tmp_path / "xp.csv"), "--u", str(tmp_path / "u.csv"),
+                 f"--dt={dt}", "--out", str(tmp_path / "fitc")])
+    assert code == 1
+    assert not (tmp_path / "fit").exists() and not (tmp_path / "fitc").exists()
+    capsys.readouterr()
+
+
+def test_example3_grid64_compare_truth_freqresp(tmp_path, capsys):
+    ds_dir, fit_dir = tmp_path / "ds", tmp_path / "fitc"
+    assert main(["synth", "--example", "3", "--grid", "64", "--seed", "6",
+                 "--out", str(ds_dir)]) == 0
+    truth, _ = dio.read_truth(ds_dir / "truth.json")
+    assert truth.a_true is None  # above the dense-truth cap
+    assert main(["fitc", "--x", str(ds_dir / "x.bin"),
+                 "--xp", str(ds_dir / "xp.bin"),
+                 "--u", str(ds_dir / "upsilon.csv"), "--out", str(fit_dir)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--model", str(fit_dir / "model.json"),
+                 "--truth", str(ds_dir / "truth.json"), "--freqresp",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    printed = capsys.readouterr().out
+    gap = float(printed.split("max_sigma_relative_gap=")[1].split()[0])
+    assert gap <= 1e-6
+    assert _table_floats(tmp_path / "cmp" / "freq_compare.csv", "relgap1").max() <= 1e-6
+
+
+def test_modal_truth_realization_matches_dense():
+    truth = gen_sparse_fourier(grid=32, n_modes=5, m=10, seed=8).truth
+    dense = _truth_realization(truth, 1.0)
+    modal = _truth_realization(dataclasses.replace(truth, a_true=None), 1.0)
+    assert modal.order == 10
+    np.testing.assert_allclose(modal.c.T @ modal.c, np.eye(10), atol=1e-12)
+    lifted = modal.c @ modal.a @ modal.c.T
+    assert np.linalg.norm(lifted - dense.a) <= 1e-10 * np.linalg.norm(dense.a)
+    z = np.exp(0.3j)
+    g_dense = np.linalg.solve(z * np.eye(dense.order) - dense.a, dense.b)
+    g_modal = modal.c @ np.linalg.solve(z * np.eye(modal.order) - modal.a, modal.b)
+    assert np.linalg.norm(g_modal - g_dense) <= 1e-10 * np.linalg.norm(g_dense)
+
+
+def test_modal_truth_rejects_input_map_off_span():
+    truth = gen_sparse_fourier(grid=16, n_modes=2, m=6, seed=8).truth
+    off = np.ones_like(truth.b_true)  # the constant field is not an active mode
+    with pytest.raises(SchemaError, match="span"):
+        _truth_realization(dataclasses.replace(truth, a_true=None, b_true=off), 1.0)

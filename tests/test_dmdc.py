@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dmdc import (
+    InvalidConfigError,
     ShapeError,
     TruncationOrderError,
     dmd_fit,
@@ -219,3 +220,13 @@ def test_shape_errors():
         dmdc_fit_known_b(EX1_X, EX1_XP[:, :3], EX1_UPS, EX1_B)
     with pytest.raises(ShapeError):
         dmdc_fit_unknown_b(EX1_X, EX1_XP, EX1_UPS[:, :3])
+
+
+@pytest.mark.parametrize("dt", [float("nan"), -1.0, 0.0, float("inf")])
+def test_fits_reject_bad_dt(dt):
+    with pytest.raises(InvalidConfigError, match="dt"):
+        dmd_fit(EX1_X, EX1_XP, dt=dt)
+    with pytest.raises(InvalidConfigError, match="dt"):
+        dmdc_fit_known_b(EX1_X, EX1_XP, EX1_UPS, EX1_B, dt=dt)
+    with pytest.raises(InvalidConfigError, match="dt"):
+        dmdc_fit_unknown_b(EX1_X, EX1_XP, EX1_UPS, dt=dt)

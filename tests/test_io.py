@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dmdc import (
     FormatError,
@@ -220,3 +225,153 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
         dio.write_matrix_csv(np.array([[np.nan, 1.0]]), p)
     assert p.read_bytes() == before
     assert list(tmp_path.iterdir()) == [p]  # no stray temp files
+
+
+MODEL_SIDECARS = ("model_basis.bin", "model_modes_re.bin", "model_modes_im.bin")
+
+
+def _written_model(tmp_path):
+    rec = list(_records())[2]
+    p = tmp_path / "model.json"
+    dio.write_model(rec, p)
+    return rec, p
+
+
+def test_model_is_index_plus_sidecars(tmp_path):
+    rec, p = _written_model(tmp_path)
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        ("model.json",) + MODEL_SIDECARS
+    )
+    doc = json.loads(p.read_text())
+    assert doc["basis"]["file"] == "model_basis.bin"
+    assert doc["modes"]["re"]["file"] == "model_modes_re.bin"
+    assert doc["modes"]["im"]["file"] == "model_modes_im.bin"
+    np.testing.assert_array_equal(
+        dio.read_matrix_bin(tmp_path / "model_basis.bin"), rec.basis
+    )
+
+
+@pytest.mark.parametrize("name", MODEL_SIDECARS)
+def test_model_missing_sidecar_is_format_error(tmp_path, name):
+    _, p = _written_model(tmp_path)
+    (tmp_path / name).unlink()
+    with pytest.raises(FormatError, match=name):
+        dio.read_model(p)
+
+
+def test_model_truncated_sidecar_is_length_error(tmp_path):
+    _, p = _written_model(tmp_path)
+    side = tmp_path / "model_modes_im.bin"
+    side.write_bytes(side.read_bytes()[:-8])
+    with pytest.raises(LengthError):
+        dio.read_model(p)
+
+
+def test_model_sidecar_digest_mismatch_rejected(tmp_path):
+    rec, p = _written_model(tmp_path)
+    # a well-formed matrix of the right shape, but not the one indexed
+    dio.write_matrix_bin(rec.basis + 1.0, tmp_path / "model_basis.bin")
+    with pytest.raises(SchemaError, match="sha256"):
+        dio.read_model(p)
+
+
+def test_model_old_inline_basis_rejected(tmp_path):
+    rec, p = _written_model(tmp_path)
+    doc = json.loads(p.read_text())
+    doc["basis"] = [[[float(v), float(v).hex()] for v in row] for row in rec.basis]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="basis"):
+        dio.read_model(p)
+
+
+def test_model_sidecar_name_must_be_plain(tmp_path):
+    _, p = _written_model(tmp_path)
+    doc = json.loads(p.read_text())
+    for name in ("../model_basis.bin", "..", "model.json"):
+        doc["basis"]["file"] = name
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="plain .bin file name"):
+            dio.read_model(p)
+
+
+def test_model_index_stays_small_at_64x64(tmp_path):
+    ds = gen_sparse_fourier(grid=64, n_modes=5, m=60, seed=4)
+    model, _ = dmdc_fit_unknown_b(ds.x, ds.xp, ds.upsilon)
+    p = tmp_path / "model.json"
+    dio.write_model(dio.ModelRecord.from_model(model, {}), p)
+    # no n-sized array inline: the 4096-row basis alone would be ~1 MB
+    assert p.stat().st_size < 64 * 1024
+
+
+def test_truth_sidecar_digest_mismatch_rejected(tmp_path):
+    ds = gen_sparse_fourier(grid=16, n_modes=2, m=6, seed=17)
+    p = tmp_path / "truth.json"
+    dio.write_truth(ds.truth, p, dt=ds.dt)
+    dio.write_matrix_bin(2.0 * ds.truth.b_true, tmp_path / "truth_b_true.bin")
+    with pytest.raises(SchemaError, match="b_true"):
+        dio.read_truth(p)
+
+
+# signed zeros and subnormals drawn often: they are what a lossy path drops
+_FINITE = st.sampled_from((0.0, -0.0, 5e-324, -5e-324)) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | _FINITE | st.text()
+
+
+def _real(draw, shape):
+    return draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+
+
+def _complex(draw, shape):
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = _real(draw, shape), _real(draw, shape)
+    return z
+
+
+@st.composite
+def _model_records(draw):
+    kind = draw(st.sampled_from(dio.MODEL_KINDS))
+    n, r, l = (draw(st.integers(1, k)) for k in (12, 5, 3))
+    return dio.ModelRecord(
+        kind=kind,
+        rank_p=draw(st.integers(r, r + 3)),
+        rank_r=r,
+        dt=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        a_tilde=_real(draw, (r, r)),
+        b_tilde=None if kind == "dmd" else _real(draw, (r, l)),
+        basis=_real(draw, (n, r)),
+        eigenvalues=_complex(draw, (r,)),
+        modes=_complex(draw, (n, r)),
+        provenance=draw(st.dictionaries(
+            st.text(), st.recursive(
+                _JSON_SCALARS,
+                lambda kids: st.lists(kids, max_size=3)
+                | st.dictionaries(st.text(), kids, max_size=3),
+                max_leaves=8,
+            ), max_size=4,
+        ) | st.just({"inputs": {"x": "sha256:00"}, "note": "Ωmega · 模型 🚀"})),
+    )
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model_records())
+def test_model_round_trip_property(rec):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "model.json"
+        dio.write_model(rec, p)
+        back = dio.read_model(p)
+    assert (back.kind, back.rank_p, back.rank_r) == (rec.kind, rec.rank_p, rec.rank_r)
+    assert back.dt.hex() == rec.dt.hex()
+    for field in ("a_tilde", "basis", "eigenvalues", "modes"):
+        assert _same_bits(getattr(back, field), getattr(rec, field)), field
+    if rec.b_tilde is None:
+        assert back.b_tilde is None
+    else:
+        assert _same_bits(back.b_tilde, rec.b_tilde)
+    assert back.provenance == rec.provenance
