@@ -36,9 +36,9 @@ from .errors import (
 )
 from .rom import (
     StateSpaceRealization,
+    frequency_response,
     match_eigenvalues,
     mode_cosine_similarities,
-    transfer_singular_values,
 )
 from .synth import ActuationSpec, gen_example1, gen_example2, gen_sparse_fourier
 
@@ -379,10 +379,6 @@ def _modal_realization(truth, dt: float) -> StateSpaceRealization:
     return StateSpaceRealization(a=a, b=b, c=c, dt=dt)
 
 
-def _sigma_curves(ss: StateSpaceRealization, omegas) -> np.ndarray:
-    return np.vstack([transfer_singular_values(ss, w) for w in omegas])
-
-
 def _cmd_compare(args) -> int:
     if (args.truth is None) == (args.model2 is None):
         raise UsageError("need exactly one of --truth or --model2")
@@ -438,8 +434,8 @@ def _cmd_compare(args) -> int:
             ss_b = _truth_realization(truth, truth_dt)
         else:
             ss_b = _record_realization(record2)
-        sig_a = _sigma_curves(ss_a, omegas)
-        sig_b = _sigma_curves(ss_b, omegas)
+        sig_a = frequency_response(ss_a, omegas).sigmas
+        sig_b = frequency_response(ss_b, omegas).sigmas
         if sig_a.shape != sig_b.shape:
             raise ShapeError(
                 f"frequency responses differ in shape: {sig_a.shape} vs {sig_b.shape}"
@@ -474,22 +470,18 @@ def _cmd_freqresp(args) -> int:
         )
     if ss.n_inputs < 1:
         raise UsageError("system has no inputs; frequency response undefined")
-    omegas = _omega_grid(args)
-    k = min(ss.n_outputs, ss.n_inputs)
+    curve = frequency_response(ss, _omega_grid(args), on_singular="mark")
+    k = curve.sigmas.shape[1]
     header = ["omega", "status"] + [f"sigma{i}" for i in range(1, k + 1)]
-    rows = []
-    n_singular = 0
-    for w in omegas:
-        try:
-            sig = transfer_singular_values(ss, w)
-            rows.append(repr(float(w)) + ",ok," + _fmt_row(sig))
-        except SingularFrequencyError:
-            n_singular += 1
-            rows.append(repr(float(w)) + ",singular" + "," * k)
+    rows = [
+        repr(float(w)) + (",singular" + "," * k if bad else ",ok," + _fmt_row(sig))
+        for w, sig, bad in zip(curve.omegas, curve.sigmas, curve.singular)
+    ]
+    n_singular = int(np.sum(curve.singular))
     out = _out_dir(args)
     _write_table(out / "freqresp.csv", header, rows)
     print(
-        f"freqresp: {len(omegas)} frequencies ({n_singular} singular), "
+        f"freqresp: {curve.omegas.size} frequencies ({n_singular} singular), "
         f"wrote {out / 'freqresp.csv'}"
     )
     return EXIT_OK

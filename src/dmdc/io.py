@@ -38,6 +38,11 @@ def _atomic_write_bytes(path, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as f:
+            # mkstemp makes the file owner-only and os.replace keeps that
+            # mode; give it the one open() would have under the umask.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -9,14 +9,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import rsf2csf, schur
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DivergenceError, InvalidInputError, ShapeError, SingularFrequencyError
+from .errors import (
+    DivergenceError,
+    InvalidInputError,
+    NumericalFailureError,
+    ShapeError,
+    SingularFrequencyError,
+)
 from .linalg import as_matrix
 
 DEFAULT_FREQ_COUNT = 200
 DEFAULT_FREQ_MIN = 1e-3
 SINGULAR_FREQ_TOL = 1e-12
+SINGULAR_POLICIES = ("raise", "mark")
 
 
 @dataclass(frozen=True)
@@ -61,11 +69,13 @@ class FrequencyResponseCurve:
     """Per-frequency singular values of the transfer matrix.
 
     ``sigmas`` has one row per grid frequency, each sorted non-increasing,
-    with min(n_outputs, n_inputs) columns.
+    with min(n_outputs, n_inputs) columns. ``singular`` flags the grid
+    points that hit an eigenvalue of A; their rows are NaN.
     """
 
     omegas: np.ndarray
     sigmas: np.ndarray
+    singular: np.ndarray
 
 
 def realize(model, c_override=None) -> StateSpaceRealization:
@@ -126,6 +136,8 @@ def transfer_singular_values(ss: StateSpaceRealization, omega: float) -> np.ndar
     """Singular values of C (e^{i omega} I - A)^{-1} B at one frequency."""
     if ss.n_inputs < 1:
         raise InvalidInputError("frequency response needs at least one input")
+    if not np.isfinite(omega):
+        raise InvalidInputError(f"frequency must be finite, got {omega!r}")
     z = np.exp(1j * float(omega))
     eigs = np.linalg.eigvals(ss.a)
     if np.min(np.abs(z - eigs)) <= SINGULAR_FREQ_TOL:
@@ -144,22 +156,77 @@ def default_frequency_grid(
 
 
 def frequency_response(
-    ss: StateSpaceRealization, omegas=None
+    ss: StateSpaceRealization, omegas=None, on_singular: str = "raise"
 ) -> FrequencyResponseCurve:
     """Singular-value frequency response over a grid in (0, pi] rad/sample.
 
-    Raises SingularFrequencyError if any grid point hits an eigenvalue of
-    A on the unit circle within 1e-12.
+    A grid point within 1e-12 of an eigenvalue of A on the unit circle is
+    singular. With ``on_singular="raise"`` it raises SingularFrequencyError;
+    with ``"mark"`` its row of ``sigmas`` is NaN, ``singular`` flags it and
+    the other frequencies are still evaluated.
+
+    A is factored once, A = Z T Z^H (complex Schur form, Laub 1981). Then
+    C (zI - A)^{-1} B = (C Z) (zI - T)^{-1} (Z^H B), and C Z may be replaced
+    by the R factor of its thin QR, which has the same singular values
+    for every z. Each frequency costs one triangular solve, run as a back
+    substitution over the whole grid at once: O(n^3 + F n^2 l) in all,
+    with O(F n l) memory.
     """
+    if on_singular not in SINGULAR_POLICIES:
+        raise InvalidInputError(
+            f"on_singular must be one of {SINGULAR_POLICIES}, got {on_singular!r}"
+        )
+    if ss.n_inputs < 1:
+        raise InvalidInputError("frequency response needs at least one input")
     if omegas is None:
         omegas = default_frequency_grid()
     w = np.asarray(omegas, dtype=np.float64).reshape(-1)
-    if w.size == 0 or np.any(w <= 0.0) or np.any(w > np.pi + 1e-12):
-        raise InvalidInputError("frequencies must lie in (0, pi]")
-    sigmas = np.empty((w.size, min(ss.n_outputs, ss.n_inputs)))
-    for i, omega in enumerate(w):
-        sigmas[i] = transfer_singular_values(ss, omega)
-    return FrequencyResponseCurve(omegas=w, sigmas=sigmas)
+    if (
+        w.size == 0
+        or not np.all(np.isfinite(w))
+        or np.any(w <= 0.0)
+        or np.any(w > np.pi + 1e-12)
+    ):
+        raise InvalidInputError("frequencies must be finite and lie in (0, pi]")
+    try:
+        t, z = schur(ss.a, output="real", check_finite=False)
+        t, z = rsf2csf(t, z, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            f"Schur factorization failed for a {ss.order}x{ss.order} matrix"
+        ) from exc
+    points = np.exp(1j * w)
+    gaps = np.abs(points[:, None] - np.diag(t))
+    singular = np.min(gaps, axis=1) <= SINGULAR_FREQ_TOL
+    if on_singular == "raise" and np.any(singular):
+        raise SingularFrequencyError(omega=float(w[np.argmax(singular)]))
+    b_hat = z.conj().T @ ss.b
+    c_hat = np.linalg.qr(ss.c @ z, mode="r")
+    y = _triangular_resolvent(t, points[~singular], b_hat)
+    n, f_ok, l = y.shape
+    k = c_hat.shape[0]
+    h = (c_hat @ y.reshape(n, f_ok * l)).reshape(k, f_ok, l).transpose(1, 0, 2)
+    sigmas = np.full((w.size, min(ss.n_outputs, ss.n_inputs)), np.nan)
+    # Past rank(C Z) = min(q, n) the transfer matrix has exact zero
+    # singular values, which the reduced product does not carry.
+    sigmas[~singular] = 0.0
+    sigmas[~singular, : min(h.shape[1:])] = np.linalg.svd(h, compute_uv=False)
+    return FrequencyResponseCurve(omegas=w, sigmas=sigmas, singular=singular)
+
+
+def _triangular_resolvent(t, points, rhs) -> np.ndarray:
+    """(p I - T)^{-1} rhs for every point p, as an n x F x l stack.
+
+    Back substitution on upper triangular T, each row solved for all
+    points at once; row i needs only the rows below it.
+    """
+    n, l = rhs.shape
+    y = np.empty((n, points.size, l), dtype=np.complex128)
+    flat = y.reshape(n, -1)
+    for i in range(n - 1, -1, -1):
+        acc = (t[i, i + 1:] @ flat[i + 1:]).reshape(points.size, l) + rhs[i]
+        y[i] = acc / (points - t[i, i])[:, None]
+    return y
 
 
 def match_eigenvalues(eigs_a, eigs_b) -> tuple[np.ndarray, np.ndarray]:

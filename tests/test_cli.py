@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -412,6 +414,41 @@ def test_example3_grid64_compare_truth_freqresp(tmp_path, capsys):
     gap = float(printed.split("max_sigma_relative_gap=")[1].split()[0])
     assert gap <= 1e-6
     assert _table_floats(tmp_path / "cmp" / "freq_compare.csv", "relgap1").max() <= 1e-6
+
+
+def test_example3_grid32_dense_truth_compare_freqresp(tmp_path, capsys):
+    ds_dir, fit_dir = tmp_path / "ds", tmp_path / "fitc"
+    assert main(["synth", "--example", "3", "--grid", "32", "--seed", "6",
+                 "--out", str(ds_dir)]) == 0
+    truth, _ = dio.read_truth(ds_dir / "truth.json")
+    assert truth.a_true.shape == (1024, 1024)
+    assert main(["fitc", "--x", str(ds_dir / "x.bin"),
+                 "--xp", str(ds_dir / "xp.bin"),
+                 "--u", str(ds_dir / "upsilon.csv"), "--out", str(fit_dir)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--model", str(fit_dir / "model.json"),
+                 "--truth", str(ds_dir / "truth.json"), "--freqresp",
+                 "--omega-count", "50", "--out", str(tmp_path / "cmp")]) == 0
+    printed = capsys.readouterr().out
+    gap = float(printed.split("max_sigma_relative_gap=")[1].split()[0])
+    assert gap <= 1e-6
+
+
+def test_outputs_follow_umask(tmp_path):
+    ds_dir, fit_dir = tmp_path / "ds", tmp_path / "fitc"
+    old = os.umask(0o022)
+    try:
+        assert main(["synth", "--example", "3", "--grid", "16", "--seed", "6",
+                     "--out", str(ds_dir)]) == 0
+        assert main(["fitc", "--x", str(ds_dir / "x.bin"),
+                     "--xp", str(ds_dir / "xp.bin"),
+                     "--u", str(ds_dir / "upsilon.csv"), "--out", str(fit_dir)]) == 0
+    finally:
+        os.umask(old)
+    written = [ds_dir / "x.bin", fit_dir / "model.json", *fit_dir.glob("model_*.bin")]
+    assert len(written) == 5
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
 
 def test_modal_truth_realization_matches_dense():

@@ -4,6 +4,7 @@ import pytest
 from dmdc import (
     DivergenceError,
     InvalidInputError,
+    NumericalFailureError,
     ShapeError,
     SingularFrequencyError,
     StateSpaceRealization,
@@ -133,14 +134,99 @@ def test_frequency_response_sorted_and_sized():
     assert np.all(curve.sigmas >= 0)
 
 
-def test_singular_frequency_detected():
-    w0 = 0.7
+def _oracle_systems():
+    rng = np.random.default_rng(101)
+    jordan = 0.8 * np.eye(5) + np.diag(np.ones(4), 1)  # one defective block
+    pairs = np.zeros((6, 6))  # real, with eigenvalues r e^(+-i theta)
+    for k, (r, th) in enumerate([(0.9, 0.4), (0.7, 2.0), (0.5, 1.1)]):
+        pairs[2 * k:2 * k + 2, 2 * k:2 * k + 2] = r * np.array(
+            [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
+        )
+    basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    pairs = basis @ pairs @ basis.T
+    wide, _ = random_diagonalizable(rng, 8)
+    # name: (A, l inputs, q outputs)
+    shapes = {
+        "jordan": (jordan, 1, 2),
+        "complex_pairs": (pairs, 2, 3),
+        "q_below_n": (wide, 3, 4),
+        "q_above_n": (jordan, 2, 40),
+    }
+    return {
+        name: (a, rng.standard_normal((a.shape[0], l)),
+               rng.standard_normal((q, a.shape[0])))
+        for name, (a, l, q) in shapes.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_systems()))
+def test_frequency_response_matches_per_frequency_solve(name):
+    a, b, c = _oracle_systems()[name]
+    ss = StateSpaceRealization(a=a, b=b, c=c)
+    curve = frequency_response(ss)
+    want = np.vstack([transfer_singular_values(ss, w) for w in curve.omegas])
+    assert curve.sigmas.shape == want.shape
+    assert not np.any(curve.singular)
+    floor = np.maximum(want, 1e-9 * want[:, :1])
+    assert np.max(np.abs(curve.sigmas - want) / floor) <= 1e-10
+
+
+def test_frequency_response_rank_deficient_pads_zeros():
+    # q > n and l > n: the last min(q, l) - n singular values are zero
+    rng = np.random.default_rng(103)
+    a, _ = random_diagonalizable(rng, 3)
+    ss = StateSpaceRealization(
+        a=a, b=rng.standard_normal((3, 5)), c=rng.standard_normal((6, 3))
+    )
+    curve = frequency_response(ss)
+    want = np.vstack([transfer_singular_values(ss, w) for w in curve.omegas])
+    assert curve.sigmas.shape == want.shape == (200, 5)
+    assert np.all(curve.sigmas[:, 3:] == 0.0)
+    np.testing.assert_allclose(curve.sigmas, want, rtol=1e-10, atol=1e-12 * want.max())
+
+
+def _rotation(w0):
     rot = np.array(
         [[np.cos(w0), -np.sin(w0)], [np.sin(w0), np.cos(w0)]]
     )
-    ss = StateSpaceRealization(a=rot, b=np.ones((2, 1)), c=np.ones((1, 2)))
+    return StateSpaceRealization(a=rot, b=np.ones((2, 1)), c=np.ones((1, 2)))
+
+
+def test_singular_frequency_detected():
+    w0 = 0.7
+    ss = _rotation(w0)
     with pytest.raises(SingularFrequencyError):
         transfer_singular_values(ss, w0)
+
+
+def test_frequency_response_singular_policies():
+    w0 = 0.7
+    ss = _rotation(w0)
+    grid = [0.3, w0, 1.5]
+    with pytest.raises(SingularFrequencyError) as err:
+        frequency_response(ss, grid)
+    assert err.value.omega == w0
+    curve = frequency_response(ss, grid, on_singular="mark")
+    np.testing.assert_array_equal(curve.singular, [False, True, False])
+    assert np.all(np.isnan(curve.sigmas[1]))
+    for i in (0, 2):
+        np.testing.assert_allclose(
+            curve.sigmas[i], transfer_singular_values(ss, grid[i]), rtol=1e-12
+        )
+    only = frequency_response(ss, [w0], on_singular="mark")
+    assert only.singular.tolist() == [True] and np.isnan(only.sigmas[0, 0])
+    with pytest.raises(InvalidInputError):
+        frequency_response(ss, grid, on_singular="skip")
+
+
+def test_frequency_response_factorization_failure_is_typed(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("schur did not converge")
+
+    monkeypatch.setattr("dmdc.rom.schur", no_convergence)
+    ss = StateSpaceRealization(a=[[0.5]], b=[[1.0]], c=[[1.0]])
+    with pytest.raises(NumericalFailureError):
+        frequency_response(ss)
 
 
 def test_frequency_grid_validation():
@@ -149,6 +235,11 @@ def test_frequency_grid_validation():
         frequency_response(ss, [0.0, 0.5])
     with pytest.raises(InvalidInputError):
         frequency_response(ss, [0.5, 4.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError):
+            frequency_response(ss, [bad, 0.5])
+        with pytest.raises(InvalidInputError):
+            transfer_singular_values(ss, bad)
     grid = default_frequency_grid()
     assert grid.shape == (200,) and grid[0] == 1e-3
     np.testing.assert_allclose(grid[-1], np.pi, rtol=1e-12)
@@ -158,6 +249,8 @@ def test_no_input_system_rejected():
     ss = StateSpaceRealization(a=[[0.5]], b=np.zeros((1, 0)), c=[[1.0]])
     with pytest.raises(InvalidInputError):
         transfer_singular_values(ss, 0.5)
+    with pytest.raises(InvalidInputError):
+        frequency_response(ss)
 
 
 def test_spectral_distance_basic():
