@@ -6,9 +6,15 @@ the fits into reduced-order state-space models for simulation and
 frequency-domain comparison.
 """
 
-from .dmd import DmdModel, dmd_fit, exact_modes, normalized_modes, split_trajectory
-from .dmdc import (
+from .dmd import (
     DmdcModel,
+    DmdModel,
+    dmd_fit,
+    exact_modes,
+    normalized_modes,
+    split_trajectory,
+)
+from .dmdc import (
     IdentifiabilityReport,
     dmdc_fit_known_b,
     dmdc_fit_unknown_b,

@@ -34,8 +34,10 @@ from .errors import (
     TruncationOrderError,
     UsageError,
 )
+from .linalg import DEFAULT_SVD_THRESHOLD
 from .rom import (
     StateSpaceRealization,
+    default_frequency_grid,
     frequency_response,
     match_eigenvalues,
     mode_cosine_similarities,
@@ -99,7 +101,7 @@ def _trunc_policy(rank, threshold):
 
 def _trunc_provenance(policy) -> dict:
     if policy is None:
-        return {"policy": "default-threshold", "value": 1e-10}
+        return {"policy": "default-threshold", "value": DEFAULT_SVD_THRESHOLD}
     if isinstance(policy, int):
         return {"policy": "rank", "value": policy}
     return {"policy": "threshold", "value": policy}
@@ -110,9 +112,7 @@ def _omega_grid(args) -> np.ndarray:
         raise UsageError(f"--omega-count must be >= 1, got {args.omega_count}")
     if not 0.0 < args.omega_min <= args.omega_max <= np.pi + 1e-12:
         raise UsageError("need 0 < --omega-min <= --omega-max <= pi")
-    return np.logspace(
-        np.log10(args.omega_min), np.log10(args.omega_max), args.omega_count
-    )
+    return default_frequency_grid(args.omega_count, args.omega_min, args.omega_max)
 
 
 def _eig_table(path, eigenvalues) -> None:

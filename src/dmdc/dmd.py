@@ -2,7 +2,8 @@
 
 The fit regresses the one-step map through a truncated SVD of the snapshot
 matrix and exposes the reduced operator, its spectrum, and the dynamic
-modes lifted back to full state dimension.
+modes lifted back to full state dimension. Its model type is the one the
+DMDc fits return: DMD is DMDc with zero inputs.
 """
 from __future__ import annotations
 
@@ -30,21 +31,35 @@ FULL_OPERATOR_MAX_DIM = 500
 
 
 @dataclass(frozen=True)
-class DmdModel:
-    """Reduced one-step operator fitted from snapshot pairs.
+class DmdcModel:
+    """Reduced one-step model x' ~ A x + B u on a projection basis.
 
-    a_tilde is the r x r operator on the projection basis (the left
-    singular vectors of X); modes are the full-dimension eigenvectors of
-    the implied n x n operator, one column per eigenvalue.
+    One type serves all three fits; ``kind`` is "dmd", "dmdc-known-b" or
+    "dmdc-unknown-b". Plain DMD is the case of no inputs, l = 0.
+    ``a_tilde`` (r x r) and ``b_tilde`` (r x l) act on ``basis``, the left
+    singular vectors of X (X' for the unknown-B fit); modes are the
+    full-dimension eigenvectors of the implied n x n operator, one column
+    per eigenvalue. ``input_rank`` is the stacked-data truncation p, equal
+    to ``output_rank`` r unless B was unknown. The dense operator is kept
+    factored, A = op_left @ op_right, and the n x l input map whole.
     """
 
+    kind: str
     a_tilde: np.ndarray
+    b_tilde: np.ndarray
     basis: np.ndarray
     eigen: EigenDecomposition
     modes: np.ndarray
-    rank: int
+    input_rank: int
+    output_rank: int
     dt: float
-    lift: np.ndarray = field(repr=False)
+    op_left: np.ndarray = field(repr=False)
+    op_right: np.ndarray = field(repr=False)
+    input_map: np.ndarray = field(repr=False)
+
+    @property
+    def rank(self) -> int:
+        return self.output_rank
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -52,20 +67,19 @@ class DmdModel:
 
     def full_operator(self, max_dim: int = FULL_OPERATOR_MAX_DIM) -> np.ndarray:
         """Materialize the n x n operator; refuses above ``max_dim``."""
-        n = self.basis.shape[0]
+        n = self.op_left.shape[0]
         if n > max_dim:
             raise InvalidInputError(
                 f"refusing to materialize a {n}x{n} operator (cap {max_dim})"
             )
-        return self.lift @ self.basis.T
+        return self.op_left @ self.op_right
+
+    def full_input_map(self) -> np.ndarray:
+        """The n x l input map estimate (n x 0 for plain DMD)."""
+        return self.input_map
 
 
-def _checked_dt(dt) -> float:
-    """Return the sampling interval as a float; it must be finite and positive."""
-    value = float(dt)
-    if not (math.isfinite(value) and value > 0.0):
-        raise InvalidConfigError(f"dt must be finite and positive, got {dt!r}")
-    return value
+DmdModel = DmdcModel
 
 
 def split_trajectory(traj) -> tuple[np.ndarray, np.ndarray]:
@@ -109,37 +123,54 @@ def normalized_modes(model, zero_tol: float = ZERO_EIGENVALUE_TOL) -> np.ndarray
     return modes
 
 
-def _fit_reduced(x: np.ndarray, target: np.ndarray, trunc: TruncationPolicy):
-    """Shared regression core: SVD of x, reduced operator from ``target``.
+def _checked_pair(x, xp, dt) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validate a snapshot pair and its sampling interval, as every fit does.
 
-    Returns (svd, a_tilde, eigen, lift) where lift = target V inv(Sigma)
+    The interval comes back as a float; it must be finite and positive.
+    """
+    value = float(dt)
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidConfigError(f"dt must be finite and positive, got {dt!r}")
+    x = as_matrix(x, "x")
+    xp = as_matrix(xp, "xp")
+    if x.shape != xp.shape:
+        raise ShapeError(f"x {x.shape} and xp {xp.shape} differ in shape")
+    return x, xp, value
+
+
+def _fit_projected(x, target, b, trunc: TruncationPolicy, dt: float, kind: str):
+    """Shared regression core of DMD and known-B DMDc.
+
+    Regresses ``target`` (X', less B Upsilon when B is known) on the
+    truncated SVD of ``x``; ``b`` is the known n x l input map, n x 0 for
+    plain DMD. lift = target V inv(Sigma) is the left operator factor and
     maps reduced eigenvectors to full-dimension modes.
     """
     svd = truncated_svd(x, trunc)
     lift = target @ (svd.v / svd.sigma)
     a_tilde = svd.u.T @ lift
-    return svd, a_tilde, eig(a_tilde), lift
+    eigen = eig(a_tilde)
+    return DmdcModel(
+        kind=kind,
+        a_tilde=a_tilde,
+        b_tilde=svd.u.T @ b,
+        basis=svd.u,
+        eigen=eigen,
+        modes=exact_modes(eigen, lift, svd.u),
+        input_rank=svd.rank,
+        output_rank=svd.rank,
+        dt=dt,
+        op_left=lift,
+        op_right=svd.u.T,
+        input_map=b,
+    )
 
 
-def dmd_fit(x, xp, trunc: TruncationPolicy = None, dt: float = 1.0) -> DmdModel:
+def dmd_fit(x, xp, trunc: TruncationPolicy = None, dt: float = 1.0) -> DmdcModel:
     """Fit the unforced one-step operator mapping x columns to xp columns.
 
     On noiseless data x_{k+1} = A x_k with the truncation capturing the
     full state rank, the eigenvalues of ``a_tilde`` equal those of A.
     """
-    dt = _checked_dt(dt)
-    x = as_matrix(x, "x")
-    xp = as_matrix(xp, "xp")
-    if x.shape != xp.shape:
-        raise ShapeError(f"x {x.shape} and xp {xp.shape} differ in shape")
-    svd, a_tilde, eigen, lift = _fit_reduced(x, xp, trunc)
-    modes = exact_modes(eigen, lift, svd.u)
-    return DmdModel(
-        a_tilde=a_tilde,
-        basis=svd.u,
-        eigen=eigen,
-        modes=modes,
-        rank=svd.rank,
-        dt=dt,
-        lift=lift,
-    )
+    x, xp, dt = _checked_pair(x, xp, dt)
+    return _fit_projected(x, xp, np.zeros((x.shape[0], 0)), trunc, dt, "dmd")

@@ -1,22 +1,22 @@
 """DMD with control: disambiguate internal dynamics from actuation.
 
-Two estimators share one model type. When the input map B is known, the
-control contribution is subtracted and the regression reduces to plain
-DMD on corrected targets. When B is unknown, state and control snapshots
-are stacked and a pair of SVDs (input space at rank p, output space at
-rank r) jointly recovers reduced operators for both A and B.
+Both estimators return the model type of ``dmd_fit``. When the input map
+B is known, the control contribution is subtracted and the regression
+reduces to plain DMD on corrected targets. When B is unknown, state and
+control snapshots are stacked and a pair of SVDs (input space at rank p,
+output space at rank r) jointly recovers reduced operators for both A
+and B.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dmd import FULL_OPERATOR_MAX_DIM, _checked_dt, _fit_reduced, exact_modes
-from .errors import InvalidInputError, ShapeError, TruncationOrderError
+from .dmd import DmdcModel, _checked_pair, _fit_projected, exact_modes
+from .errors import ShapeError, TruncationOrderError
 from .linalg import (
     DEFAULT_SVD_THRESHOLD,
-    EigenDecomposition,
     TruncatedSvd,
     TruncationPolicy,
     as_matrix,
@@ -24,54 +24,6 @@ from .linalg import (
     numerical_rank,
     truncated_svd,
 )
-
-
-@dataclass(frozen=True)
-class DmdcModel:
-    """Reduced operator pair (a_tilde, b_tilde) on the projection basis.
-
-    ``basis`` is the state projection: the left singular vectors of X for
-    the known-B path, of X' for the unknown-B path. ``input_rank`` is the
-    stacked-data truncation p (equal to output_rank when B was known).
-    """
-
-    a_tilde: np.ndarray
-    b_tilde: np.ndarray
-    basis: np.ndarray
-    eigen: EigenDecomposition
-    modes: np.ndarray
-    input_rank: int
-    output_rank: int
-    dt: float
-    lift: np.ndarray = field(repr=False)
-    op_left: np.ndarray = field(repr=False)
-    op_right: np.ndarray = field(repr=False)
-    b_full: np.ndarray | None = field(repr=False, default=None)
-    b_right: np.ndarray | None = field(repr=False, default=None)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.eigen.values
-
-    def full_operator(self, max_dim: int = FULL_OPERATOR_MAX_DIM) -> np.ndarray:
-        """Materialize the n x n dynamics estimate; refuses above ``max_dim``."""
-        n = self.op_left.shape[0]
-        if n > max_dim:
-            raise InvalidInputError(
-                f"refusing to materialize a {n}x{n} operator (cap {max_dim})"
-            )
-        return self.op_left @ self.op_right
-
-    def full_input_map(self, max_dim: int = FULL_OPERATOR_MAX_DIM) -> np.ndarray:
-        """Materialize the n x l input map estimate."""
-        if self.b_full is not None:
-            return self.b_full
-        n = self.op_left.shape[0]
-        if n > max_dim:
-            raise InvalidInputError(
-                f"refusing to materialize a {n}-row input map (cap {max_dim})"
-            )
-        return self.op_left @ self.b_right
 
 
 @dataclass(frozen=True)
@@ -108,15 +60,11 @@ def dmdc_fit_known_b(
     the regression; with all-zero inputs the result equals ``dmd_fit``
     exactly.
     """
-    dt = _checked_dt(dt)
-    x = as_matrix(x, "x")
-    xp = as_matrix(xp, "xp")
+    x, xp, dt = _checked_pair(x, xp, dt)
     ups = as_matrix(upsilon, "upsilon", allow_zero_rows=True)
     if np.ndim(b) == 1:
         b = np.asarray(b, dtype=np.float64).reshape(-1, 1)
     b = as_matrix(b, "b", allow_zero_rows=True)
-    if x.shape != xp.shape:
-        raise ShapeError(f"x {x.shape} and xp {xp.shape} differ in shape")
     if ups.shape[1] != x.shape[1]:
         raise ShapeError(
             f"column mismatch: x has {x.shape[1]}, upsilon has {ups.shape[1]}"
@@ -125,30 +73,14 @@ def dmdc_fit_known_b(
         raise ShapeError(
             f"b is {b.shape}, expected ({x.shape[0]}, {ups.shape[0]})"
         )
-    target = xp - b @ ups
-    svd, a_tilde, eigen, lift = _fit_reduced(x, target, trunc)
-    modes = exact_modes(eigen, lift, svd.u)
-    return DmdcModel(
-        a_tilde=a_tilde,
-        b_tilde=svd.u.T @ b,
-        basis=svd.u,
-        eigen=eigen,
-        modes=modes,
-        input_rank=svd.rank,
-        output_rank=svd.rank,
-        dt=dt,
-        lift=lift,
-        op_left=lift,
-        op_right=svd.u.T,
-        b_full=b,
-    )
+    return _fit_projected(x, xp - b @ ups, b, trunc, dt, "dmdc-known-b")
 
 
 def _slice_svd(svd: TruncatedSvd, k: int) -> TruncatedSvd:
     if k >= svd.rank:
         return svd
-    return TruncatedSvd(
-        u=svd.u[:, :k].copy(), sigma=svd.sigma[:k].copy(),
+    return replace(
+        svd, u=svd.u[:, :k].copy(), sigma=svd.sigma[:k].copy(),
         v=svd.v[:, :k].copy(), rank=k,
     )
 
@@ -171,16 +103,11 @@ def dmdc_fit_unknown_b(
     data (u linearly dependent on x rows) still yields the least-squares
     model but raises the report's flag.
     """
-    dt = _checked_dt(dt)
-    x = as_matrix(x, "x")
-    xp = as_matrix(xp, "xp")
+    x, xp, dt = _checked_pair(x, xp, dt)
     ups = as_matrix(upsilon, "upsilon", allow_zero_rows=True)
-    if x.shape != xp.shape:
-        raise ShapeError(f"x {x.shape} and xp {xp.shape} differ in shape")
     n, l = x.shape[0], ups.shape[0]
-    omega = stack_omega(x, ups)
 
-    svd_p = truncated_svd(omega, trunc_p)
+    svd_p = truncated_svd(stack_omega(x, ups), trunc_p)
     svd_r = truncated_svd(xp, trunc_r)
     if trunc_r is None:
         svd_r = _slice_svd(svd_r, svd_p.rank)
@@ -197,14 +124,9 @@ def dmdc_fit_unknown_b(
     a_tilde = proj @ (u1.T @ svd_r.u)
     b_tilde = proj @ u2.T
     eigen = eig(a_tilde)
-    mode_lift = xvs @ (u1.T @ svd_r.u)
-    modes = exact_modes(eigen, mode_lift, svd_r.u)
+    modes = exact_modes(eigen, xvs @ (u1.T @ svd_r.u), svd_r.u)
 
-    omega_rank = (
-        svd_p.rank
-        if trunc_p is None
-        else numerical_rank(omega, DEFAULT_SVD_THRESHOLD)
-    )
+    omega_rank = svd_p.numerical_rank()
     required = numerical_rank(x, DEFAULT_SVD_THRESHOLD) + l
     report = IdentifiabilityReport(
         omega_rank=omega_rank,
@@ -212,6 +134,7 @@ def dmdc_fit_unknown_b(
         collinearity_flag=omega_rank < required,
     )
     model = DmdcModel(
+        kind="dmdc-unknown-b",
         a_tilde=a_tilde,
         b_tilde=b_tilde,
         basis=svd_r.u,
@@ -220,9 +143,8 @@ def dmdc_fit_unknown_b(
         input_rank=p,
         output_rank=r,
         dt=dt,
-        lift=mode_lift,
         op_left=xvs,
         op_right=u1.T,
-        b_right=u2.T,
+        input_map=xvs @ u2.T,
     )
     return model, report

@@ -268,20 +268,13 @@ class ModelRecord:
 
     @classmethod
     def from_model(cls, model, provenance: dict | None = None) -> "ModelRecord":
-        b_tilde = getattr(model, "b_tilde", None)
-        if b_tilde is None:
-            kind = "dmd"
-            rank_p = rank_r = model.rank
-        else:
-            kind = "dmdc-known-b" if model.b_full is not None else "dmdc-unknown-b"
-            rank_p, rank_r = model.input_rank, model.output_rank
         return cls(
-            kind=kind,
-            rank_p=rank_p,
-            rank_r=rank_r,
+            kind=model.kind,
+            rank_p=model.input_rank,
+            rank_r=model.output_rank,
             dt=model.dt,
             a_tilde=model.a_tilde,
-            b_tilde=b_tilde,
+            b_tilde=None if model.kind == "dmd" else model.b_tilde,
             basis=model.basis,
             eigenvalues=model.eigen.values,
             modes=model.modes,
@@ -325,9 +318,11 @@ def _require(doc: dict, key: str, path):
 def read_model(path) -> ModelRecord:
     """Read a model index and its sidecars.
 
-    Raises SchemaError on structural problems or a sidecar that does not
-    match its digest, FormatError for a missing or malformed sidecar and
-    LengthError for a truncated one.
+    Raises SchemaError on structural problems, an index that contradicts
+    itself (b_tilde present on a "dmd" kind or absent on a DMDc kind, ranks
+    that disagree with a_tilde, a dt that is not finite and positive) or a
+    sidecar that does not match its digest, FormatError for a missing or
+    malformed sidecar and LengthError for a truncated one.
     """
     path = Path(path)
     try:
@@ -375,6 +370,17 @@ def read_model(path) -> ModelRecord:
         raise SchemaError(f"{path}: basis and modes differ in state dimension")
     if record.eigenvalues.shape[0] != r:
         raise SchemaError(f"{path}: eigenvalue count disagrees with a_tilde")
+    if (record.b_tilde is None) != (kind == "dmd"):
+        raise SchemaError(f"{path}: b_tilde must be null exactly when kind is 'dmd'")
+    if record.b_tilde is not None and record.b_tilde.shape[0] != r:
+        raise SchemaError(f"{path}: b_tilde row count disagrees with a_tilde")
+    if rank_r != r or rank_p < rank_r:
+        raise SchemaError(
+            f"{path}: ranks p={rank_p}, r={rank_r} disagree with a_tilde "
+            f"order {r} (need r = {r} <= p)"
+        )
+    if not (math.isfinite(record.dt) and record.dt > 0.0):
+        raise SchemaError(f"{path}: dt must be finite and positive, got {record.dt!r}")
     return record
 
 

@@ -60,16 +60,22 @@ class TruncatedSvd:
 
     u and v carry orthonormal columns; sigma is strictly positive and
     non-increasing. The sign of each column pair (u_i, v_i) is fixed so the
-    largest-magnitude entry of u_i is non-negative.
+    largest-magnitude entry of u_i is non-negative. ``spectrum`` holds all
+    min(m.shape) singular values of m, the truncated ones included.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
     rank: int
+    spectrum: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
+
+    def numerical_rank(self, tau: float = DEFAULT_SVD_THRESHOLD) -> int:
+        """``numerical_rank`` of the factored matrix, read off ``spectrum``."""
+        return _rank_above(self.spectrum, tau)
 
 
 @dataclass(frozen=True)
@@ -104,11 +110,17 @@ def _resolve_rank(sigma: np.ndarray, trunc: TruncationPolicy, max_rank: int) -> 
             )
         return k
     if isinstance(trunc, (float, np.floating)):
-        tau = float(trunc)
-        if not 0.0 < tau < 1.0:
-            raise InvalidInputError(f"relative threshold {tau} outside (0, 1)")
-        return int(np.count_nonzero(sigma / sigma[0] > tau))
+        return _rank_above(sigma, float(trunc))
     raise InvalidInputError(f"invalid truncation policy {trunc!r}")
+
+
+def _rank_above(sigma: np.ndarray, tau: float) -> int:
+    """Count of singular values above ``tau`` relative to the largest."""
+    if not 0.0 < tau < 1.0:
+        raise InvalidInputError(f"relative threshold {tau} outside (0, 1)")
+    if sigma[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(sigma / sigma[0] > tau))
 
 
 def truncated_svd(m, trunc: TruncationPolicy = None) -> TruncatedSvd:
@@ -125,13 +137,13 @@ def truncated_svd(m, trunc: TruncationPolicy = None) -> TruncatedSvd:
     a = as_matrix(m, "svd input")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     k = _resolve_rank(s, trunc, min(a.shape))
-    u, s, v = u[:, :k].copy(), s[:k].copy(), vh[:k].T.copy()
+    u, v = u[:, :k].copy(), vh[:k].T.copy()
     # Flip coupled column pairs so each u column's dominant entry is >= 0.
     for j in range(k):
         if u[np.argmax(np.abs(u[:, j])), j] < 0.0:
             u[:, j] = -u[:, j]
             v[:, j] = -v[:, j]
-    return TruncatedSvd(u=u, sigma=s, v=v, rank=k)
+    return TruncatedSvd(u=u, sigma=s[:k].copy(), v=v, rank=k, spectrum=s)
 
 
 def eig(a, max_dim: int = 2048) -> EigenDecomposition:
@@ -165,9 +177,4 @@ def eig(a, max_dim: int = 2048) -> EigenDecomposition:
 def numerical_rank(m, tau: float = DEFAULT_SVD_THRESHOLD) -> int:
     """Number of singular values above ``tau`` relative to the largest."""
     a = as_matrix(m, "rank input")
-    if not 0.0 < tau < 1.0:
-        raise InvalidInputError(f"relative threshold {tau} outside (0, 1)")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s / s[0] > tau))
+    return _rank_above(np.linalg.svd(a, compute_uv=False), tau)

@@ -82,11 +82,8 @@ def realize(model, c_override=None) -> StateSpaceRealization:
     """Build an (A, B, C) realization from a fitted model.
 
     C defaults to the model's projection basis, lifting reduced states
-    back to measurement space. Plain DMD models get a zero-width B.
+    back to measurement space. Plain DMD models have a zero-width B.
     """
-    b = getattr(model, "b_tilde", None)
-    if b is None:
-        b = np.zeros((model.a_tilde.shape[0], 0))
     if c_override is not None:
         c = as_matrix(c_override, "c_override")
         if c.shape[1] != model.a_tilde.shape[0]:
@@ -96,7 +93,9 @@ def realize(model, c_override=None) -> StateSpaceRealization:
             )
     else:
         c = model.basis
-    return StateSpaceRealization(a=model.a_tilde, b=b, c=c, dt=model.dt)
+    return StateSpaceRealization(
+        a=model.a_tilde, b=model.b_tilde, c=c, dt=model.dt
+    )
 
 
 def simulate(ss: StateSpaceRealization, x0, u_seq=None, horizon=None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import stat
 
@@ -267,6 +268,15 @@ def test_freqresp_dmd_model_rejected(tmp_path, capsys):
                  "--out", str(tmp_path / "fr")])
     assert code == 1
     assert "no inputs" in capsys.readouterr().err
+    # a "dmd" index edited to carry an input map contradicts itself
+    doc = json.loads((fit_dir / "model.json").read_text())
+    doc["b_tilde"] = [[[1.0, (1.0).hex()]] for _ in doc["a_tilde"]]
+    (fit_dir / "model.json").write_text(json.dumps(doc))
+    code = main(["freqresp", "--model", str(fit_dir / "model.json"),
+                 "--out", str(tmp_path / "fr")])
+    assert code == 2
+    assert "b_tilde must be null" in capsys.readouterr().err
+    assert not (tmp_path / "fr").exists()
 
 
 def test_unknown_subcommand_and_flags_are_usage_errors(tmp_path, capsys):

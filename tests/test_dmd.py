@@ -8,6 +8,8 @@ from dmdc import (
     InvalidInputError,
     ShapeError,
     dmd_fit,
+    dmdc_fit_known_b,
+    dmdc_fit_unknown_b,
     exact_modes,
     normalized_modes,
     spectral_distance,
@@ -19,6 +21,7 @@ from helpers import (
     EX1_X,
     EX1_XP,
     consistent_data,
+    consistent_forced_data,
     lstsq_operator,
     random_diagonalizable,
 )
@@ -171,11 +174,21 @@ def test_normalized_modes_scaling():
         np.testing.assert_allclose(cross, 1.0, rtol=1e-10)
 
 
-def test_full_operator_cap():
+_FITS = {
+    "dmd": lambda x, xp, ups, b: dmd_fit(x, xp),
+    "dmdc-known-b": lambda x, xp, ups, b: dmdc_fit_known_b(x, xp, ups, b),
+    "dmdc-unknown-b": lambda x, xp, ups, b: dmdc_fit_unknown_b(x, xp, ups)[0],
+}
+
+
+@pytest.mark.parametrize("kind", list(_FITS))
+def test_full_operator_cap(kind):
     rng = np.random.default_rng(29)
     a, _ = random_diagonalizable(rng, 6)
-    x, xp = consistent_data(rng, a, 12)
-    model = dmd_fit(x, xp)
+    b = rng.standard_normal((6, 1))
+    x, xp, ups = consistent_forced_data(rng, a, b, 12)
+    model = _FITS[kind](x, xp, ups, b)
+    assert model.kind == kind
     with pytest.raises(InvalidInputError):
         model.full_operator(max_dim=5)
     assert model.full_operator(max_dim=6).shape == (6, 6)

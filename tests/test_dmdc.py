@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from dmdc import (
+    DmdcModel,
+    DmdModel,
     InvalidConfigError,
+    InvalidInputError,
     ShapeError,
     TruncationOrderError,
     dmd_fit,
     dmdc_fit_known_b,
     dmdc_fit_unknown_b,
     gen_random_stable_ss,
+    gen_sparse_fourier,
     spectral_distance,
     stack_omega,
 )
@@ -108,6 +112,44 @@ def test_unknown_b_example1_collinear():
     assert report.omega_rank == 2
     assert report.required_rank == 3
     assert model.a_tilde.shape == (2, 2)  # model still returned
+    # an explicit p truncates the fit, not the rank count of [X; U]
+    _, explicit = dmdc_fit_unknown_b(EX1_X, EX1_XP, EX1_UPS, trunc_p=1)
+    assert explicit.omega_rank == 2
+    assert explicit.collinearity_flag
+
+
+def test_one_model_type_for_all_fits():
+    assert DmdModel is DmdcModel
+    rng = np.random.default_rng(43)
+    a, _ = random_diagonalizable(rng, 4)
+    b = rng.standard_normal((4, 2))
+    x, xp, ups = consistent_forced_data(rng, a, b, 15)
+    big = gen_sparse_fourier(
+        grid=32, n_modes=3, m=30, seed=2, dense_truth_max_dim=0
+    )
+    fits = [
+        ("dmd", 0, dmd_fit(x, xp)),
+        ("dmdc-known-b", 2, dmdc_fit_known_b(x, xp, ups, b)),
+        ("dmdc-unknown-b", 2, dmdc_fit_unknown_b(x, xp, ups)[0]),
+        ("dmdc-unknown-b", big.upsilon.shape[0],
+         dmdc_fit_unknown_b(big.x, big.xp, big.upsilon)[0]),
+    ]
+    for kind, l, model in fits:
+        n, r = model.basis.shape
+        assert type(model) is DmdcModel
+        assert model.kind == kind
+        assert model.rank == model.output_rank == r
+        assert model.b_tilde.shape == (r, l)
+        assert model.full_input_map().shape == (n, l)
+    np.testing.assert_array_equal(fits[1][2].full_input_map(), b)
+    # above the n x n cap the input map is still returned, and it is right
+    big_model = fits[-1][2]
+    assert big.x.shape[0] > 500
+    with pytest.raises(InvalidInputError):
+        big_model.full_operator()
+    b_true = big.truth.b_true
+    gap = np.linalg.norm(big_model.full_input_map() - b_true)
+    assert gap <= 1e-8 * np.linalg.norm(b_true)
 
 
 def test_truncation_order_error():

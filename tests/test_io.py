@@ -312,6 +312,38 @@ def test_truth_sidecar_digest_mismatch_rejected(tmp_path):
         dio.read_truth(p)
 
 
+def _add_b_tilde(doc):
+    doc["b_tilde"] = [[[1.0, (1.0).hex()]] for _ in doc["a_tilde"]]
+
+
+@pytest.mark.parametrize("kind, edit, match", [
+    pytest.param("dmd", _add_b_tilde, "b_tilde must be null", id="dmd-with-b"),
+    pytest.param("dmdc-known-b", lambda d: d.update(b_tilde=None),
+                 "b_tilde must be null", id="dmdc-without-b"),
+    pytest.param("dmdc-unknown-b", lambda d: d["b_tilde"].pop(),
+                 "b_tilde row count", id="b-rows"),
+    pytest.param("dmd", lambda d: d.update(rank_r=d["rank_r"] + 1),
+                 "ranks", id="rank-r"),
+    pytest.param("dmdc-unknown-b", lambda d: d.update(rank_p=d["rank_r"] - 1),
+                 "ranks", id="rank-p-below-r"),
+    pytest.param("dmd", lambda d: d.update(dt=[-1.0, (-1.0).hex()]),
+                 "dt must be finite", id="dt-negative"),
+    pytest.param("dmdc-known-b", lambda d: d.update(dt=[0.0, (0.0).hex()]),
+                 "dt must be finite", id="dt-zero"),
+    pytest.param("dmd", lambda d: d.update(dt=[float("inf"), "inf"]),
+                 "dt must be finite", id="dt-inf"),
+])
+def test_model_contradictory_index_rejected(tmp_path, kind, edit, match):
+    rec = next(r for r in _records() if r.kind == kind)
+    p = tmp_path / "m.json"
+    dio.write_model(rec, p)
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=match):
+        dio.read_model(p)
+
+
 # signed zeros and subnormals drawn often: they are what a lossy path drops
 _FINITE = st.sampled_from((0.0, -0.0, 5e-324, -5e-324)) | st.floats(
     allow_nan=False, allow_infinity=False
