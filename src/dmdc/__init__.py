@@ -11,7 +11,6 @@ from .dmd import (
     DmdModel,
     dmd_fit,
     exact_modes,
-    normalized_modes,
     split_trajectory,
 )
 from .dmdc import (
@@ -52,9 +51,9 @@ from .rom import (
     match_eigenvalues,
     mode_cosine_similarities,
     realize,
+    realize_truth,
     simulate,
     spectral_distance,
-    transfer_singular_values,
 )
 from .synth import (
     ActuationSpec,
@@ -111,13 +110,12 @@ __all__ = [
     "gen_sparse_fourier",
     "match_eigenvalues",
     "mode_cosine_similarities",
-    "normalized_modes",
     "numerical_rank",
     "realize",
+    "realize_truth",
     "simulate",
     "spectral_distance",
     "split_trajectory",
     "stack_omega",
-    "transfer_singular_values",
     "truncated_svd",
 ]

@@ -41,6 +41,8 @@ from .rom import (
     frequency_response,
     match_eigenvalues,
     mode_cosine_similarities,
+    realize,
+    realize_truth,
 )
 from .synth import ActuationSpec, gen_example1, gen_example2, gen_sparse_fourier
 
@@ -48,12 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FORMAT = 2
 EXIT_NUMERICAL = 3
-
-# Singular values of [Re Phi, Im Phi] above this fraction of the largest
-# span the modal truth; an input map farther than MODAL_SPAN_TOL (relative)
-# from that span is not realizable on it.
-MODAL_SPAN_THRESHOLD = 1e-10
-MODAL_SPAN_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,7 +191,6 @@ def build_parser() -> _Parser:
     p_fr.add_argument("--a", help="A matrix file (with --b, --c)")
     p_fr.add_argument("--b", help="B matrix file")
     p_fr.add_argument("--c", help="C matrix file")
-    p_fr.add_argument("--dt", type=float, default=1.0)
     p_fr.add_argument("--omega-count", type=int, default=200)
     p_fr.add_argument("--omega-min", type=float, default=1e-3)
     p_fr.add_argument("--omega-max", type=float, default=float(np.pi))
@@ -293,7 +288,6 @@ def _parse_x0(text: str) -> np.ndarray:
 
 
 def _cmd_synth(args) -> int:
-    out = _out_dir(args)
     if args.example == 1:
         m = args.m if args.m is not None else 5
         ds = gen_example1(x0=_parse_x0(args.x0), k_gain=args.k_gain, m=m)
@@ -319,6 +313,7 @@ def _cmd_synth(args) -> int:
             actuation=act, dt=args.dt,
         )
         binary = True
+    out = _out_dir(args)
     if binary:
         dio.write_matrix_bin(ds.x, out / "x.bin")
         dio.write_matrix_bin(ds.xp, out / "xp.bin")
@@ -340,43 +335,7 @@ def _cmd_synth(args) -> int:
 def _record_realization(record: dio.ModelRecord) -> StateSpaceRealization:
     if record.b_tilde is None:
         raise UsageError(f"model kind {record.kind!r} has no inputs")
-    return StateSpaceRealization(
-        a=record.a_tilde, b=record.b_tilde, c=record.basis, dt=record.dt
-    )
-
-
-def _truth_realization(truth, dt: float) -> StateSpaceRealization:
-    if truth.b_true is None:
-        raise SchemaError("truth document carries no input map")
-    if truth.a_true is not None:
-        c = truth.c_true
-        if c is None:
-            c = np.eye(truth.a_true.shape[0])
-        return StateSpaceRealization(a=truth.a_true, b=truth.b_true, c=c, dt=dt)
-    if truth.modes_true is None:
-        raise SchemaError("truth document carries neither a dense operator nor modes")
-    return _modal_realization(truth, dt)
-
-
-def _modal_realization(truth, dt: float) -> StateSpaceRealization:
-    """Real realization of A = Phi diag(lambda) pinv(Phi) on span[Re Phi, Im Phi].
-
-    With Q an orthonormal basis of that span (left singular vectors, since
-    the 4k columns of [Re Phi, Im Phi] have rank 2k), A = Q A~ Q^T for
-    A~ = Re(Q^T Phi diag(lambda) pinv(Q^T Phi)). So (A~, Q^T b, C Q) has the
-    transfer function of (A, b, C) whenever b lies in the span.
-    """
-    phi = truth.modes_true
-    u, s, _ = np.linalg.svd(np.hstack([phi.real, phi.imag]), full_matrices=False)
-    q = u[:, s > MODAL_SPAN_THRESHOLD * s[0]]
-    m = q.T @ phi
-    a = np.real((m * truth.eigs_true) @ np.linalg.pinv(m))
-    b_true = truth.b_true
-    b = q.T @ b_true
-    if np.linalg.norm(b_true - q @ b) > MODAL_SPAN_TOL * np.linalg.norm(b_true):
-        raise SchemaError("truth input map does not lie in the span of the modes")
-    c = q if truth.c_true is None else truth.c_true @ q
-    return StateSpaceRealization(a=a, b=b, c=c, dt=dt)
+    return realize(record)
 
 
 def _cmd_compare(args) -> int:
@@ -385,7 +344,7 @@ def _cmd_compare(args) -> int:
     record = dio.read_model(args.model)
     ref_modes = None
     if args.truth is not None:
-        truth, truth_dt = dio.read_truth(args.truth)
+        truth, _ = dio.read_truth(args.truth)
         ref_eigs = truth.eigs_true
         ref_modes = truth.modes_true
         ref_label = "truth"
@@ -431,7 +390,7 @@ def _cmd_compare(args) -> int:
         omegas = _omega_grid(args)
         ss_a = _record_realization(record)
         if args.truth is not None:
-            ss_b = _truth_realization(truth, truth_dt)
+            ss_b = realize_truth(truth)
         else:
             ss_b = _record_realization(record2)
         sig_a = frequency_response(ss_a, omegas).sigmas
@@ -465,11 +424,8 @@ def _cmd_freqresp(args) -> int:
         if not (args.a and args.b and args.c):
             raise UsageError("need --model or all of --a, --b, --c")
         ss = StateSpaceRealization(
-            a=_read_matrix(args.a), b=_read_matrix(args.b),
-            c=_read_matrix(args.c), dt=args.dt,
+            a=_read_matrix(args.a), b=_read_matrix(args.b), c=_read_matrix(args.c)
         )
-    if ss.n_inputs < 1:
-        raise UsageError("system has no inputs; frequency response undefined")
     curve = frequency_response(ss, _omega_grid(args), on_singular="mark")
     k = curve.sigmas.shape[1]
     header = ["omega", "status"] + [f"sigma{i}" for i in range(1, k + 1)]

@@ -110,32 +110,22 @@ def exact_modes(
     return modes
 
 
-def normalized_modes(model, zero_tol: float = ZERO_EIGENVALUE_TOL) -> np.ndarray:
-    """Display-scaled copy of the modes: each column divided by its
-    eigenvalue-scaled norm (plain unit norm for zero eigenvalues)."""
-    modes = model.modes.copy()
-    for i, lam in enumerate(model.eigen.values):
-        norm = np.linalg.norm(modes[:, i])
-        if norm == 0.0:
-            continue
-        scale = lam * norm if abs(lam) > zero_tol else norm
-        modes[:, i] = modes[:, i] / scale
-    return modes
-
-
-def _checked_pair(x, xp, dt) -> tuple[np.ndarray, np.ndarray, float]:
-    """Validate a snapshot pair and its sampling interval, as every fit does.
-
-    The interval comes back as a float; it must be finite and positive.
-    """
+def _checked_dt(dt) -> float:
+    """``dt`` as a float, the rule of every fit and generator: finite, positive."""
     value = float(dt)
     if not (math.isfinite(value) and value > 0.0):
         raise InvalidConfigError(f"dt must be finite and positive, got {dt!r}")
+    return value
+
+
+def _checked_pair(x, xp, dt) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validate a snapshot pair and its sampling interval, as every fit does."""
+    dt = _checked_dt(dt)
     x = as_matrix(x, "x")
     xp = as_matrix(xp, "xp")
     if x.shape != xp.shape:
         raise ShapeError(f"x {x.shape} and xp {xp.shape} differ in shape")
-    return x, xp, value
+    return x, xp, dt
 
 
 def _fit_projected(x, target, b, trunc: TruncationPolicy, dt: float, kind: str):

@@ -315,6 +315,13 @@ def _require(doc: dict, key: str, path):
     return doc[key]
 
 
+def _read_dt(doc: dict, path) -> float:
+    dt = _dec_real(_require(doc, "dt", path), f"{path}: dt")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise SchemaError(f"{path}: dt must be finite and positive, got {dt!r}")
+    return dt
+
+
 def read_model(path) -> ModelRecord:
     """Read a model index and its sidecars.
 
@@ -350,7 +357,7 @@ def read_model(path) -> ModelRecord:
         kind=kind,
         rank_p=rank_p,
         rank_r=rank_r,
-        dt=_dec_real(_require(doc, "dt", path), f"{path}: dt"),
+        dt=_read_dt(doc, path),
         a_tilde=_dec_real_matrix(_require(doc, "a_tilde", path), f"{path}: a_tilde"),
         b_tilde=None if b_raw is None else _dec_real_matrix(b_raw, f"{path}: b_tilde"),
         basis=basis,
@@ -379,8 +386,6 @@ def read_model(path) -> ModelRecord:
             f"{path}: ranks p={rank_p}, r={rank_r} disagree with a_tilde "
             f"order {r} (need r = {r} <= p)"
         )
-    if not (math.isfinite(record.dt) and record.dt > 0.0):
-        raise SchemaError(f"{path}: dt must be finite and positive, got {record.dt!r}")
     return record
 
 
@@ -404,7 +409,12 @@ def write_truth(truth: GroundTruth, path, dt: float = 1.0) -> None:
 
 
 def read_truth(path) -> tuple[GroundTruth, float]:
-    """Read a ground-truth index and its sibling matrices."""
+    """Read a ground-truth index and its sibling matrices.
+
+    Besides the sidecar errors of ``read_model``, raises SchemaError for a
+    bad dt, sidecars that disagree on the state dimension (a non-square
+    ``a_true`` included) and modes that disagree with the eigenvalues.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -436,4 +446,15 @@ def read_truth(path) -> tuple[GroundTruth, float]:
         ),
         seed=seed,
     )
-    return truth, _dec_real(_require(doc, "dt", path), f"{path}: dt")
+    dt = _read_dt(doc, path)
+    a, modes = truth.a_true, truth.modes_true
+    sides = (("a_true rows", a, 0), ("a_true columns", a, 1),
+             ("b_true rows", truth.b_true, 0), ("c_true columns", truth.c_true, 1),
+             ("modes_true rows", modes, 0))
+    dims = {tag: m.shape[axis] for tag, m, axis in sides if m is not None}
+    if len(set(dims.values())) > 1:
+        raise SchemaError(f"{path}: sidecars disagree on the state dimension: {dims}")
+    if modes is not None and modes.shape[1] != truth.eigs_true.size:
+        raise SchemaError(f"{path}: modes_true has {modes.shape[1]} columns for "
+                          f"{truth.eigs_true.size} eigenvalues")
+    return truth, dt

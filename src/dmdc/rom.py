@@ -1,8 +1,9 @@
 """Reduced-order realizations: simulation, frequency response, spectra.
 
-A fitted model becomes an (A, B, C) triple with the projection basis as
-the output map, so identified and generating systems can be compared
-through simulation or MIMO frequency-response singular values.
+A fitted model (projection basis as output map) or a ground truth becomes
+an (A, B, C) triple, so identified and generating systems can be compared
+through simulation or MIMO frequency-response singular values, in
+rad/sample: no sampling interval enters a realization.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from .errors import (
     DivergenceError,
     InvalidInputError,
     NumericalFailureError,
+    SchemaError,
     ShapeError,
     SingularFrequencyError,
 )
@@ -26,6 +28,12 @@ DEFAULT_FREQ_MIN = 1e-3
 SINGULAR_FREQ_TOL = 1e-12
 SINGULAR_POLICIES = ("raise", "mark")
 
+# Singular values of [Re Phi, Im Phi] above this fraction of the largest
+# span the modal truth; an input map farther than MODAL_SPAN_TOL (relative)
+# from that span is not realizable on it.
+MODAL_SPAN_THRESHOLD = 1e-10
+MODAL_SPAN_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class StateSpaceRealization:
@@ -34,7 +42,6 @@ class StateSpaceRealization:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    dt: float = 1.0
 
     def __post_init__(self):
         a = as_matrix(self.a, "a")
@@ -78,24 +85,50 @@ class FrequencyResponseCurve:
     singular: np.ndarray
 
 
-def realize(model, c_override=None) -> StateSpaceRealization:
-    """Build an (A, B, C) realization from a fitted model.
+def realize(model) -> StateSpaceRealization:
+    """Build an (A, B, C) realization from a fitted model or model record.
 
-    C defaults to the model's projection basis, lifting reduced states
-    back to measurement space. Plain DMD models have a zero-width B.
+    C is the projection basis, lifting reduced states back to measurement
+    space. Plain DMD models have a zero-width B.
     """
-    if c_override is not None:
-        c = as_matrix(c_override, "c_override")
-        if c.shape[1] != model.a_tilde.shape[0]:
-            raise ShapeError(
-                f"c_override has {c.shape[1]} columns, expected "
-                f"{model.a_tilde.shape[0]}"
-            )
-    else:
-        c = model.basis
-    return StateSpaceRealization(
-        a=model.a_tilde, b=model.b_tilde, c=c, dt=model.dt
-    )
+    b = np.zeros((len(model.a_tilde), 0)) if model.b_tilde is None else model.b_tilde
+    return StateSpaceRealization(a=model.a_tilde, b=b, c=model.basis)
+
+
+def realize_truth(truth) -> StateSpaceRealization:
+    """Build an (A, B, C) realization of a ground truth: its dense
+    ``a_true`` (C = I unless it has a ``c_true``), else its modal one."""
+    if truth.b_true is None:
+        raise SchemaError("truth document carries no input map")
+    if truth.a_true is not None:
+        c = truth.c_true
+        if c is None:
+            c = np.eye(truth.a_true.shape[0])
+        return StateSpaceRealization(a=truth.a_true, b=truth.b_true, c=c)
+    if truth.modes_true is None:
+        raise SchemaError("truth document carries neither a dense operator nor modes")
+    return _modal_realization(truth)
+
+
+def _modal_realization(truth) -> StateSpaceRealization:
+    """Real realization of A = Phi diag(lambda) pinv(Phi) on span[Re Phi, Im Phi].
+
+    With Q an orthonormal basis of that span (left singular vectors, since
+    the 4k columns of [Re Phi, Im Phi] have rank 2k), A = Q A~ Q^T for
+    A~ = Re(Q^T Phi diag(lambda) pinv(Q^T Phi)). So (A~, Q^T b, C Q) has the
+    transfer function of (A, b, C) whenever b lies in the span.
+    """
+    phi = truth.modes_true
+    u, s, _ = np.linalg.svd(np.hstack([phi.real, phi.imag]), full_matrices=False)
+    q = u[:, s > MODAL_SPAN_THRESHOLD * s[0]]
+    m = q.T @ phi
+    a = np.real((m * truth.eigs_true) @ np.linalg.pinv(m))
+    b_true = truth.b_true
+    b = q.T @ b_true
+    if np.linalg.norm(b_true - q @ b) > MODAL_SPAN_TOL * np.linalg.norm(b_true):
+        raise SchemaError("truth input map does not lie in the span of the modes")
+    c = q if truth.c_true is None else truth.c_true @ q
+    return StateSpaceRealization(a=a, b=b, c=c)
 
 
 def simulate(ss: StateSpaceRealization, x0, u_seq=None, horizon=None) -> np.ndarray:
@@ -129,22 +162,6 @@ def simulate(ss: StateSpaceRealization, x0, u_seq=None, horizon=None) -> np.ndar
             raise DivergenceError(step=k + 1)
         out[:, k] = ss.c @ x
     return out
-
-
-def transfer_singular_values(ss: StateSpaceRealization, omega: float) -> np.ndarray:
-    """Singular values of C (e^{i omega} I - A)^{-1} B at one frequency."""
-    if ss.n_inputs < 1:
-        raise InvalidInputError("frequency response needs at least one input")
-    if not np.isfinite(omega):
-        raise InvalidInputError(f"frequency must be finite, got {omega!r}")
-    z = np.exp(1j * float(omega))
-    eigs = np.linalg.eigvals(ss.a)
-    if np.min(np.abs(z - eigs)) <= SINGULAR_FREQ_TOL:
-        raise SingularFrequencyError(omega=float(omega))
-    resolvent = np.linalg.solve(
-        z * np.eye(ss.order) - ss.a, ss.b.astype(np.complex128)
-    )
-    return np.linalg.svd(ss.c @ resolvent, compute_uv=False)
 
 
 def default_frequency_grid(

@@ -13,11 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dmd import _checked_dt
 from .errors import (
     InsufficientDataError,
     InvalidConfigError,
     InvalidInputError,
     NumericalFailureError,
+    SchemaError,
 )
 from .linalg import eig
 from .rom import StateSpaceRealization
@@ -79,7 +81,11 @@ class ActuationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ActuationSpec":
+        if not isinstance(d, dict):
+            raise SchemaError(f"expected an object, got {type(d).__name__}")
         center = d.get("center")
+        if center is not None and len(center) != 2:
+            raise SchemaError(f"center must be null or [x, y], got {center!r}")
         return cls(
             center=None if center is None else (float(center[0]), float(center[1])),
             width=float(d.get("width", 5.0)),
@@ -138,7 +144,7 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def gen_random_stable_ss(
-    n: int, l: int, q: int, seed: int = 0, dt: float = 1.0
+    n: int, l: int, q: int, seed: int = 0
 ) -> tuple[StateSpaceRealization, GroundTruth]:
     """Random stable discrete system with an orthonormal measurement map.
 
@@ -173,7 +179,7 @@ def gen_random_stable_ss(
         c = _orthonormalize(g)
     else:
         c = _orthonormalize(g.T).T
-    real = StateSpaceRealization(a=a, b=b, c=c, dt=dt)
+    real = StateSpaceRealization(a=a, b=b, c=c)
     truth = GroundTruth(
         a_true=a, b_true=b, c_true=c,
         eigs_true=eig(a).values, modes_true=None, seed=int(seed),
@@ -209,7 +215,8 @@ def gen_example2(
     so the measured data obeys the effective operators (C A C^T, C B);
     those are what the ground truth records. Starts from the origin.
     """
-    real, _ = gen_random_stable_ss(n, l, q, seed, dt)
+    dt = _checked_dt(dt)
+    real, _ = gen_random_stable_ss(n, l, q, seed)
     ups = gen_random_inputs(l, m, seed + 1)
     states = np.zeros((n, m))
     for k in range(m - 1):
@@ -282,7 +289,6 @@ def gen_sparse_fourier(
     seed: int = 0,
     actuation: ActuationSpec | None = None,
     dt: float = 1.0,
-    dense_truth_max_dim: int = DENSE_TRUTH_MAX_DIM,
 ) -> SynthDataset:
     """Sparse oscillatory dynamics on a periodic grid with spatial forcing.
 
@@ -294,9 +300,10 @@ def gen_sparse_fourier(
     fields flattened to length grid**2.
 
     Ground truth records the 2 * n_modes discrete eigenvalues and spatial
-    mode shapes; the dense operator pair is included only while grid**2
-    stays within ``dense_truth_max_dim``.
+    mode shapes; the dense operator is included only while grid**2 stays
+    within DENSE_TRUTH_MAX_DIM.
     """
+    dt = _checked_dt(dt)
     if grid < 4 or grid & (grid - 1) != 0:
         raise InvalidConfigError(f"grid must be a power of two >= 4, got {grid}")
     if n_modes < 1:
@@ -351,7 +358,7 @@ def gen_sparse_fourier(
 
     b_true = _field_from_coeffs(beta, waves, grid).reshape(-1, 1)
     a_true = None
-    if n <= dense_truth_max_dim:
+    if n <= DENSE_TRUTH_MAX_DIM:
         analysis = np.conj(modes_fwd).T / (grid * grid)
         a_true = 2.0 * np.real(modes_fwd @ (mu[:, None] * analysis))
     truth = GroundTruth(

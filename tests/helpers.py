@@ -1,6 +1,9 @@
 """Shared fixtures: benchmark matrices, independent oracles, data builders."""
 import numpy as np
 
+from dmdc.errors import InvalidInputError, SingularFrequencyError
+from dmdc.rom import SINGULAR_FREQ_TOL, StateSpaceRealization
+
 # Example-1 benchmark: unstable diag(1.5, 0.1) system under u = -x1 feedback,
 # five snapshots from [4, 7].
 EX1_A = np.array([[1.5, 0.0], [0.0, 0.1]])
@@ -68,3 +71,23 @@ def column_sign_match(got, ref, atol):
         err = max(err, min(plus, minus))
     assert err <= atol, f"column mismatch {err} > {atol}"
     return np.array(flips)
+
+
+def transfer_singular_values(ss: StateSpaceRealization, omega: float) -> np.ndarray:
+    """Singular values of C (e^{i omega} I - A)^{-1} B at one frequency.
+
+    Dense oracle for ``dmdc.rom.frequency_response``: one eigvals and one
+    dense solve per frequency, sharing no code with the Schur path.
+    """
+    if ss.n_inputs < 1:
+        raise InvalidInputError("frequency response needs at least one input")
+    if not np.isfinite(omega):
+        raise InvalidInputError(f"frequency must be finite, got {omega!r}")
+    z = np.exp(1j * float(omega))
+    eigs = np.linalg.eigvals(ss.a)
+    if np.min(np.abs(z - eigs)) <= SINGULAR_FREQ_TOL:
+        raise SingularFrequencyError(omega=float(omega))
+    resolvent = np.linalg.solve(
+        z * np.eye(ss.order) - ss.a, ss.b.astype(np.complex128)
+    )
+    return np.linalg.svd(ss.c @ resolvent, compute_uv=False)

@@ -18,7 +18,6 @@ from dmdc import (
     mode_cosine_similarities,
     realize,
     spectral_distance,
-    transfer_singular_values,
     truncated_svd,
 )
 from helpers import (
@@ -34,6 +33,7 @@ from helpers import (
     consistent_data,
     joint_lstsq_operator,
     random_diagonalizable,
+    transfer_singular_values,
 )
 
 

@@ -6,9 +6,9 @@ import stat
 import numpy as np
 import pytest
 
-from dmdc import SchemaError, gen_sparse_fourier
+from dmdc import SchemaError, gen_sparse_fourier, realize_truth
 from dmdc import io as dio
-from dmdc.cli import _truth_realization, main
+from dmdc.cli import main
 from helpers import EX1_B, EX1_TRAJ, EX1_UPS, EX1_X, EX1_XP
 
 
@@ -305,11 +305,12 @@ def test_synth_with_actuation_spec_file(tmp_path):
     default_truth, _ = dio.read_truth(default_out / "truth.json")
     assert np.linalg.norm(bump) != np.linalg.norm(default_truth.b_true)
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    assert main([
-        "synth", "--example", "3", "--grid", "16", "--modes", "2", "--m", "8",
-        "--actuation", str(bad), "--out", str(tmp_path / "x"),
-    ]) == 2
+    for text in ("{nope", "[1, 2]", '{"center": [1]}'):
+        bad.write_text(text)
+        assert main([
+            "synth", "--example", "3", "--grid", "16", "--modes", "2", "--m", "8",
+            "--actuation", str(bad), "--out", str(tmp_path / "x"),
+        ]) == 2, text
 
 
 def test_fit_transpose_input(tmp_path):
@@ -405,6 +406,12 @@ def test_fit_rejects_bad_dt(tmp_path, capsys, dt):
     assert code == 1
     assert not (tmp_path / "fit").exists() and not (tmp_path / "fitc").exists()
     capsys.readouterr()
+    for example in (["2", "--q", "8"], ["3", "--grid", "16", "--m", "6"]):
+        code = main(["synth", "--example", *example, f"--dt={dt}",
+                     "--out", str(tmp_path / "synth")])
+        assert code == 1
+        assert "dt must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "synth").exists()
 
 
 def test_example3_grid64_compare_truth_freqresp(tmp_path, capsys):
@@ -463,8 +470,8 @@ def test_outputs_follow_umask(tmp_path):
 
 def test_modal_truth_realization_matches_dense():
     truth = gen_sparse_fourier(grid=32, n_modes=5, m=10, seed=8).truth
-    dense = _truth_realization(truth, 1.0)
-    modal = _truth_realization(dataclasses.replace(truth, a_true=None), 1.0)
+    dense = realize_truth(truth)
+    modal = realize_truth(dataclasses.replace(truth, a_true=None))
     assert modal.order == 10
     np.testing.assert_allclose(modal.c.T @ modal.c, np.eye(10), atol=1e-12)
     lifted = modal.c @ modal.a @ modal.c.T
@@ -479,4 +486,4 @@ def test_modal_truth_rejects_input_map_off_span():
     truth = gen_sparse_fourier(grid=16, n_modes=2, m=6, seed=8).truth
     off = np.ones_like(truth.b_true)  # the constant field is not an active mode
     with pytest.raises(SchemaError, match="span"):
-        _truth_realization(dataclasses.replace(truth, a_true=None, b_true=off), 1.0)
+        realize_truth(dataclasses.replace(truth, a_true=None, b_true=off))

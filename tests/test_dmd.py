@@ -11,7 +11,6 @@ from dmdc import (
     dmdc_fit_known_b,
     dmdc_fit_unknown_b,
     exact_modes,
-    normalized_modes,
     spectral_distance,
     split_trajectory,
 )
@@ -158,20 +157,6 @@ def test_one_step_consistency():
     model = dmd_fit(x, xp)
     a_bar = model.full_operator()
     assert np.linalg.norm(a_bar @ x - xp, "fro") <= 1e-8 * np.linalg.norm(xp, "fro")
-
-
-def test_normalized_modes_scaling():
-    rng = np.random.default_rng(23)
-    a, _ = random_diagonalizable(rng, 4)
-    x, xp = consistent_data(rng, a, 10)
-    model = dmd_fit(x, xp)
-    scaled = normalized_modes(model)
-    for lam, raw, col in zip(model.eigenvalues, model.modes.T, scaled.T):
-        np.testing.assert_allclose(np.linalg.norm(col), 1.0 / abs(lam), rtol=1e-10)
-        cross = np.abs(np.vdot(raw, col)) / (
-            np.linalg.norm(raw) * np.linalg.norm(col)
-        )
-        np.testing.assert_allclose(cross, 1.0, rtol=1e-10)
 
 
 _FITS = {

@@ -124,9 +124,7 @@ def test_one_model_type_for_all_fits():
     a, _ = random_diagonalizable(rng, 4)
     b = rng.standard_normal((4, 2))
     x, xp, ups = consistent_forced_data(rng, a, b, 15)
-    big = gen_sparse_fourier(
-        grid=32, n_modes=3, m=30, seed=2, dense_truth_max_dim=0
-    )
+    big = gen_sparse_fourier(grid=32, n_modes=3, m=30, seed=2)
     fits = [
         ("dmd", 0, dmd_fit(x, xp)),
         ("dmdc-known-b", 2, dmdc_fit_known_b(x, xp, ups, b)),

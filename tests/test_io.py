@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -343,6 +344,61 @@ def test_model_contradictory_index_rejected(tmp_path, kind, edit, match):
     with pytest.raises(SchemaError, match=match):
         dio.read_model(p)
 
+
+
+def _truth_sidecar(index, tag, mat):
+    """Write ``mat`` as the truth sidecar ``tag`` and return its index entry."""
+    side = index.parent / f"{index.stem}_{tag}.bin"
+    dio.write_matrix_bin(mat, side)
+    return {"file": side.name, "sha256": hashlib.sha256(side.read_bytes()).hexdigest()}
+
+
+def _extra_row(m):
+    return np.vstack([m, m[:1]])
+
+
+@pytest.mark.parametrize("dense, tag, make, match", [
+    pytest.param(True, "a_true", lambda t: t.a_true[:, :-1],
+                 "a_true columns", id="a-not-square"),
+    pytest.param(True, "b_true", lambda t: _extra_row(t.b_true),
+                 "state dimension", id="b-rows"),
+    pytest.param(False, "b_true", lambda t: np.ones((100, 1)),
+                 "state dimension", id="b-rows-modal"),
+    pytest.param(True, "c_true", lambda t: np.ones((3, t.b_true.shape[0] + 1)),
+                 "state dimension", id="c-cols"),
+    pytest.param(True, "modes_true", lambda t: _extra_row(t.modes_true),
+                 "state dimension", id="modes-rows"),
+    pytest.param(True, "modes_true", lambda t: t.modes_true[:, :-1],
+                 "eigenvalues", id="modes-cols"),
+])
+def test_truth_contradictory_sidecars_rejected(tmp_path, dense, tag, make, match):
+    truth = gen_sparse_fourier(grid=16, n_modes=2, m=6, seed=17).truth
+    if not dense:
+        truth = dataclasses.replace(truth, a_true=None)
+    p = tmp_path / "truth.json"
+    dio.write_truth(truth, p)
+    doc = json.loads(p.read_text())
+    mat = make(truth)
+    if tag == "modes_true":
+        entry = {"re": _truth_sidecar(p, "modes_re", mat.real),
+                 "im": _truth_sidecar(p, "modes_im", mat.imag)}
+    else:
+        entry = _truth_sidecar(p, tag, mat)
+    doc["files"][tag] = entry
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=match):
+        dio.read_truth(p)
+
+
+@pytest.mark.parametrize("dt", [-1.0, 0.0, float("inf")])
+def test_truth_bad_dt_rejected(tmp_path, dt):
+    p = tmp_path / "truth.json"
+    dio.write_truth(gen_sparse_fourier(grid=16, n_modes=2, m=6, seed=17).truth, p)
+    doc = json.loads(p.read_text())
+    doc["dt"] = [dt, dt.hex()]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="dt must be finite and positive"):
+        dio.read_truth(p)
 
 # signed zeros and subnormals drawn often: they are what a lossy path drops
 _FINITE = st.sampled_from((0.0, -0.0, 5e-324, -5e-324)) | st.floats(

@@ -19,14 +19,16 @@ from dmdc import (
     realize,
     simulate,
     spectral_distance,
-    transfer_singular_values,
 )
+from dmdc import io as dio
 from helpers import (
     EX1_B,
     EX1_UPS,
     EX1_X,
     EX1_XP,
+    consistent_forced_data,
     random_diagonalizable,
+    transfer_singular_values,
 )
 
 
@@ -46,12 +48,17 @@ def test_realize_dmd_model_has_no_inputs():
     assert np.allclose(out, out[:, :1])  # identity-on-reach: constant
 
 
-def test_realize_c_override_shape():
-    model = dmdc_fit_known_b(EX1_X, EX1_XP, EX1_UPS, EX1_B)
-    ss = realize(model, c_override=np.ones((3, 2)))
-    assert ss.c.shape == (3, 2)
-    with pytest.raises(ShapeError):
-        realize(model, c_override=np.ones((3, 5)))
+def test_realize_model_record_matches_model():
+    rng = np.random.default_rng(31)
+    a, _ = random_diagonalizable(rng, 4)
+    b = rng.standard_normal((4, 2))
+    x, xp, ups = consistent_forced_data(rng, a, b, 12)
+    for model in (dmd_fit(x, xp), dmdc_fit_unknown_b(x, xp, ups)[0]):
+        want = realize(model)
+        got = realize(dio.ModelRecord.from_model(model))
+        assert got.n_inputs == want.n_inputs == model.b_tilde.shape[1]
+        for part in ("a", "b", "c"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_simulate_scalar_hand_recursion():
