@@ -1,14 +1,14 @@
 """Command-line interface: fit, fitc, synth, compare, freqresp.
 
 Every command is deterministic given its flags and seed, writes complete
-files or nothing, and exits 0 on success, 1 on usage errors, 2 on file or
-format problems, 3 on numerical failures.
+files or nothing, and exits 0 on success. A failure exits with the code its
+error class carries (the table is in dmdc.errors): 1 on usage errors, 2 on
+file or format problems (an OSError included), 3 on numerical failures.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -17,23 +17,7 @@ import numpy as np
 from . import io as dio
 from .dmd import dmd_fit, split_trajectory
 from .dmdc import dmdc_fit_known_b, dmdc_fit_unknown_b
-from .errors import (
-    DegenerateMatrixError,
-    DivergenceError,
-    DmdcError,
-    FormatError,
-    InsufficientDataError,
-    InvalidConfigError,
-    InvalidInputError,
-    LengthError,
-    NumericalFailureError,
-    ParseError,
-    SchemaError,
-    ShapeError,
-    SingularFrequencyError,
-    TruncationOrderError,
-    UsageError,
-)
+from .errors import DmdcError, FormatError, SchemaError, ShapeError, UsageError
 from .linalg import DEFAULT_SVD_THRESHOLD
 from .rom import (
     StateSpaceRealization,
@@ -47,9 +31,6 @@ from .rom import (
 from .synth import ActuationSpec, gen_example1, gen_example2, gen_sparse_fourier
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_FORMAT = 2
-EXIT_NUMERICAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,8 +209,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_fitc(args) -> int:
-    trunc_p = _trunc_policy(args.rank_p, args.svd_threshold)
+    known_b = args.b_matrix is not None
+    if known_b and args.rank_p is not None:
+        raise UsageError("--rank-p does not apply to --b-matrix fits, where p = r")
     trunc_r = _trunc_policy(args.rank_r, args.svd_threshold)
+    trunc_p = trunc_r if known_b else _trunc_policy(args.rank_p, args.svd_threshold)
     if (
         args.rank_p is not None
         and args.rank_r is not None
@@ -243,7 +227,7 @@ def _cmd_fitc(args) -> int:
     ups = _read_matrix(args.u, args.transpose_input)
     inputs = {"x": _digest(args.x), "xp": _digest(args.xp), "u": _digest(args.u)}
     report = None
-    if args.b_matrix is not None:
+    if known_b:
         b = _read_matrix(args.b_matrix)
         inputs["b"] = _digest(args.b_matrix)
         model = dmdc_fit_known_b(x, xp, ups, b, trunc_r, args.dt)
@@ -290,7 +274,7 @@ def _parse_x0(text: str) -> np.ndarray:
 def _cmd_synth(args) -> int:
     if args.example == 1:
         m = args.m if args.m is not None else 5
-        ds = gen_example1(x0=_parse_x0(args.x0), k_gain=args.k_gain, m=m)
+        ds = gen_example1(x0=_parse_x0(args.x0), k_gain=args.k_gain, m=m, dt=args.dt)
         binary = False
     elif args.example == 2:
         m = args.m if args.m is not None else 101
@@ -302,11 +286,10 @@ def _cmd_synth(args) -> int:
         m = args.m if args.m is not None else 60
         act = None
         if args.actuation is not None:
+            spec = dio.read_json_object(args.actuation, "actuation spec")
             try:
-                act = ActuationSpec.from_dict(
-                    json.loads(Path(args.actuation).read_text(encoding="utf-8"))
-                )
-            except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
+                act = ActuationSpec.from_dict(spec)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"{args.actuation}: bad actuation spec: {exc}") from None
         ds = gen_sparse_fourier(
             grid=args.grid, n_modes=args.modes, m=m, seed=args.seed,
@@ -456,30 +439,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, InvalidConfigError, TruncationOrderError) as exc:
+    except DmdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        FormatError,
-        ParseError,
-        SchemaError,
-        LengthError,
-        ShapeError,
-        InsufficientDataError,
-        InvalidInputError,
-        OSError,
-    ) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (
-        DegenerateMatrixError,
-        NumericalFailureError,
-        DivergenceError,
-        SingularFrequencyError,
-        DmdcError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return FormatError.exit_code
 
 
 def entry() -> None:

@@ -1,20 +1,28 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the exit code of each.
 
-Everything derives from DmdcError so callers can catch the whole family;
-the subclasses distinguish bad inputs, bad files, and numerical trouble.
+Everything derives from DmdcError so callers can catch the whole family.
+Each class carries the code the command line exits with when it is raised,
+so this module is the one table: 1 for bad arguments or configuration
+(UsageError, InvalidConfigError, TruncationOrderError), 2 for bad files or
+data (FormatError, ParseError, SchemaError, LengthError, ShapeError,
+InsufficientDataError, InvalidInputError), 3 for numerical failure
+(DmdcError and every other subclass).
 """
 
 
 class DmdcError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 3
 
 
 class InvalidInputError(DmdcError, ValueError):
     """Input data violates a precondition (non-finite entries, bad policy)."""
+    exit_code = 2
 
 
 class ShapeError(DmdcError, ValueError):
     """Matrix dimensions are inconsistent with the requested operation."""
+    exit_code = 2
 
 
 class DegenerateMatrixError(DmdcError, ValueError):
@@ -23,10 +31,12 @@ class DegenerateMatrixError(DmdcError, ValueError):
 
 class InsufficientDataError(DmdcError, ValueError):
     """Too few snapshots to form the requested data matrices."""
+    exit_code = 2
 
 
 class TruncationOrderError(DmdcError, ValueError):
     """Input-space truncation p is smaller than output-space truncation r."""
+    exit_code = 1
 
 
 class NumericalFailureError(DmdcError, RuntimeError):
@@ -53,23 +63,29 @@ class SingularFrequencyError(DmdcError, ValueError):
 
 class FormatError(DmdcError, ValueError):
     """A file violates its declared layout (bad magic, ragged rows, ...)."""
+    exit_code = 2
 
 
 class ParseError(DmdcError, ValueError):
     """A cell of a text file does not parse as a finite number."""
+    exit_code = 2
 
 
 class LengthError(DmdcError, ValueError):
     """A binary payload is shorter or longer than its header declares."""
+    exit_code = 2
 
 
 class SchemaError(DmdcError, ValueError):
     """A structured document is missing fields or carries unknown tags."""
+    exit_code = 2
 
 
 class InvalidConfigError(DmdcError, ValueError):
     """A generator or run configuration is out of its valid range."""
+    exit_code = 1
 
 
 class UsageError(DmdcError, ValueError):
     """Command-line arguments are inconsistent or incomplete."""
+    exit_code = 1

@@ -56,6 +56,29 @@ def write_text_atomic(path, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def read_json_object(path, what: str) -> dict:
+    """Parse a file holding one JSON object.
+
+    Raises FormatError if the file is not UTF-8 and SchemaError if it is
+    not one JSON object (bad syntax and nesting too deep included).
+    """
+    text = _read_text(path)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: not a valid {what} document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    return doc
+
+
 def write_matrix_csv(m, path) -> None:
     """Write a matrix as CSV, one state row per line, snapshots as columns."""
     a = as_matrix(m, "matrix")
@@ -69,7 +92,7 @@ def read_matrix_csv(path, transpose: bool = False) -> np.ndarray:
     Raises FormatError for ragged rows (with the line number) and
     ParseError for cells that are not finite decimals (with coordinates).
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:
@@ -154,10 +177,10 @@ def _dec_real(pair, where: str) -> float:
     ):
         raise SchemaError(f"{where}: expected [decimal, hex] pair, got {pair!r}")
     try:
-        h = float.fromhex(pair[1])
-    except ValueError:
-        raise SchemaError(f"{where}: bad hex float {pair[1]!r}") from None
-    if float(pair[0]) != h:
+        h, d = float.fromhex(pair[1]), float(pair[0])
+    except (ValueError, OverflowError):
+        raise SchemaError(f"{where}: {pair!r} does not encode a float") from None
+    if d != h:
         raise SchemaError(f"{where}: decimal {pair[0]!r} disagrees with hex")
     return h
 
@@ -178,7 +201,7 @@ def _enc_real_matrix(m) -> list:
 
 
 def _dec_real_matrix(rows, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
         raise SchemaError(f"{where}: expected a non-empty array of rows")
     out = [[_dec_real(p, where) for p in row] for row in rows]
     if len({len(r) for r in out}) != 1:
@@ -215,7 +238,7 @@ def _read_sidecar(index: Path, entry, where: str) -> np.ndarray | None:
             f"got {type(entry).__name__}"
         )
     name = entry["file"]
-    if Path(name).name != name or not name.endswith(".bin"):
+    if Path(name).name != name or not name.endswith(".bin") or "\0" in name:
         raise SchemaError(f"{where}: sidecar {name!r} is not a plain .bin file name")
     side = index.parent / name
     try:
@@ -315,6 +338,14 @@ def _require(doc: dict, key: str, path):
     return doc[key]
 
 
+def _read_eigenvalues(doc: dict, path) -> np.ndarray:
+    raw = _require(doc, "eigenvalues", path)
+    if not isinstance(raw, list):
+        raise SchemaError(f"{path}: eigenvalues must be an array")
+    where = f"{path}: eigenvalues"
+    return np.array([_dec_complex(z, where) for z in raw], dtype=np.complex128)
+
+
 def _read_dt(doc: dict, path) -> float:
     dt = _dec_real(_require(doc, "dt", path), f"{path}: dt")
     if not (math.isfinite(dt) and dt > 0.0):
@@ -332,12 +363,7 @@ def read_model(path) -> ModelRecord:
     malformed sidecar and LengthError for a truncated one.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not a valid model document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
+    doc = read_json_object(path, "model")
     kind = _require(doc, "kind", path)
     if kind not in MODEL_KINDS:
         raise SchemaError(f"{path}: unknown model kind {kind!r}")
@@ -346,9 +372,6 @@ def read_model(path) -> ModelRecord:
     if not all(isinstance(r, int) and not isinstance(r, bool) for r in (rank_p, rank_r)):
         raise SchemaError(f"{path}: ranks must be integers")
     b_raw = _require(doc, "b_tilde", path)
-    eig_raw = _require(doc, "eigenvalues", path)
-    if not isinstance(eig_raw, list):
-        raise SchemaError(f"{path}: eigenvalues must be an array")
     basis = _read_sidecar(path, _require(doc, "basis", path), f"{path}: basis")
     modes = _read_complex_sidecars(path, _require(doc, "modes", path), f"{path}: modes")
     if basis is None or modes is None:
@@ -361,10 +384,7 @@ def read_model(path) -> ModelRecord:
         a_tilde=_dec_real_matrix(_require(doc, "a_tilde", path), f"{path}: a_tilde"),
         b_tilde=None if b_raw is None else _dec_real_matrix(b_raw, f"{path}: b_tilde"),
         basis=basis,
-        eigenvalues=np.array(
-            [_dec_complex(z, f"{path}: eigenvalues") for z in eig_raw],
-            dtype=np.complex128,
-        ),
+        eigenvalues=_read_eigenvalues(doc, path),
         modes=modes,
         provenance=_require(doc, "provenance", path),
     )
@@ -416,11 +436,8 @@ def read_truth(path) -> tuple[GroundTruth, float]:
     ``a_true`` included) and modes that disagree with the eigenvalues.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not a valid truth document: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("kind") != "ground-truth":
+    doc = read_json_object(path, "truth")
+    if doc.get("kind") != "ground-truth":
         raise SchemaError(f"{path}: not a ground-truth document")
     files = _require(doc, "files", path)
     if not isinstance(files, dict):
@@ -436,11 +453,7 @@ def read_truth(path) -> tuple[GroundTruth, float]:
         a_true=_load("a_true"),
         b_true=_load("b_true"),
         c_true=_load("c_true"),
-        eigs_true=np.array(
-            [_dec_complex(z, f"{path}: eigenvalues") for z in
-             _require(doc, "eigenvalues", path)],
-            dtype=np.complex128,
-        ),
+        eigs_true=_read_eigenvalues(doc, path),
         modes_true=_read_complex_sidecars(
             path, files.get("modes_true"), f"{path}: files.modes_true"
         ),

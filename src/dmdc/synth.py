@@ -15,6 +15,7 @@ import numpy as np
 
 from .dmd import _checked_dt
 from .errors import (
+    DivergenceError,
     InsufficientDataError,
     InvalidConfigError,
     InvalidInputError,
@@ -84,7 +85,8 @@ class ActuationSpec:
         if not isinstance(d, dict):
             raise SchemaError(f"expected an object, got {type(d).__name__}")
         center = d.get("center")
-        if center is not None and len(center) != 2:
+        pair = isinstance(center, (list, tuple)) and len(center) == 2
+        if center is not None and not pair:
             raise SchemaError(f"center must be null or [x, y], got {center!r}")
         return cls(
             center=None if center is None else (float(center[0]), float(center[1])),
@@ -97,18 +99,24 @@ EXAMPLE1_A = np.array([[1.5, 0.0], [0.0, 0.1]])
 EXAMPLE1_B = np.array([[1.0], [0.0]])
 
 
-def gen_example1(x0=(4.0, 7.0), k_gain: float = -1.0, m: int = 5) -> SynthDataset:
+def gen_example1(
+    x0=(4.0, 7.0), k_gain: float = -1.0, m: int = 5, dt: float = 1.0
+) -> SynthDataset:
     """Unstable 2-state system stabilized by proportional feedback.
 
     Iterates x_{k+1} = A x_k + B u_k with u_k = k_gain * x1_k from the
     given initial state, recording m snapshots. The defaults reproduce
-    the canonical 5-snapshot benchmark starting at [4, 7].
+    the canonical 5-snapshot benchmark starting at [4, 7]; ``dt`` is only
+    recorded. A state too large for a float raises DivergenceError.
     """
+    dt = _checked_dt(dt)
     if m < 2:
         raise InsufficientDataError(f"need m >= 2 snapshots, got {m}")
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.shape != (2,):
         raise InvalidConfigError(f"x0 must have 2 entries, got {x0.shape}")
+    if not np.all(np.isfinite([*x0, k_gain])):
+        raise InvalidConfigError(f"x0 and k_gain must be finite, got {x0}, {k_gain!r}")
     # Exact rational recursion so snapshots equal the decimal reference
     # values after a single correctly-rounded float conversion (binary
     # float iteration would already be off by an ulp at 0.1 * 7).
@@ -120,9 +128,12 @@ def gen_example1(x0=(4.0, 7.0), k_gain: float = -1.0, m: int = 5) -> SynthDatase
     states[:, 0] = [float(s1), float(s2)]
     for k in range(m - 1):
         u = gain * s1
-        ups[0, k] = float(u)
         s1, s2 = a11 * s1 + u, a22 * s2
-        states[:, k + 1] = [float(s1), float(s2)]
+        try:
+            ups[0, k] = float(u)
+            states[:, k + 1] = [float(s1), float(s2)]
+        except OverflowError:
+            raise DivergenceError(k + 1) from None
     truth = GroundTruth(
         a_true=EXAMPLE1_A.copy(),
         b_true=EXAMPLE1_B.copy(),
@@ -133,14 +144,8 @@ def gen_example1(x0=(4.0, 7.0), k_gain: float = -1.0, m: int = 5) -> SynthDatase
     )
     return SynthDataset(
         x=states[:, :-1].copy(), xp=states[:, 1:].copy(),
-        upsilon=ups, truth=truth, dt=1.0,
+        upsilon=ups, truth=truth, dt=dt,
     )
-
-
-def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    d = np.diag(r)
-    return q * np.where(d == 0.0, 1.0, np.sign(d))
 
 
 def gen_random_stable_ss(
@@ -171,7 +176,7 @@ def gen_random_stable_ss(
         s = blk.shape[0]
         d[i : i + s, i : i + s] = blk
         i += s
-    qmat = _random_orthogonal(rng, n)
+    qmat = _orthonormalize(rng.standard_normal((n, n)))
     a = qmat @ d @ qmat.T
     b = rng.standard_normal((n, l))
     g = rng.standard_normal((q, n))
@@ -311,6 +316,8 @@ def gen_sparse_fourier(
     if m < 2:
         raise InsufficientDataError(f"need m >= 2 snapshots, got {m}")
     act = actuation if actuation is not None else ActuationSpec()
+    if not np.all(np.isfinite([act.width, act.amplitude, *(act.center or ())])):
+        raise InvalidConfigError(f"actuation spec must be finite, got {act.to_dict()}")
     if act.width <= 0.0:
         raise InvalidConfigError(f"actuation width must be positive, got {act.width}")
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dmdc import SchemaError, gen_sparse_fourier, realize_truth
+from dmdc import cli, errors
 from dmdc import io as dio
 from dmdc.cli import main
 from helpers import EX1_B, EX1_TRAJ, EX1_UPS, EX1_X, EX1_XP
@@ -145,6 +146,21 @@ def test_fitc_scalar_rich_tables(tmp_path):
     np.testing.assert_allclose(
         dio.read_matrix_csv(out / "b_tilde.csv"), [[1.0]], atol=1e-10
     )
+
+
+def test_fitc_known_b_has_one_rank(tmp_path, capsys):
+    _write_ex1(tmp_path)
+    argv = ["fitc", "--x", str(tmp_path / "x.csv"), "--xp", str(tmp_path / "xp.csv"),
+            "--u", str(tmp_path / "u.csv"), "--b-matrix", str(tmp_path / "b.csv")]
+    out = tmp_path / "fitc"
+    assert main([*argv, "--rank-p", "2", "--out", str(out)]) == 1
+    assert "--rank-p" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--rank-r", "1", "--out", str(out)]) == 0
+    record = dio.read_model(out / "model.json")
+    assert record.rank_p == record.rank_r == 1
+    rank_1 = {"policy": "rank", "value": 1}
+    assert record.provenance["truncation"] == {"p": rank_1, "r": rank_1}
 
 
 def test_fitc_rank_order_usage_error_before_reading(tmp_path, capsys):
@@ -305,12 +321,19 @@ def test_synth_with_actuation_spec_file(tmp_path):
     default_truth, _ = dio.read_truth(default_out / "truth.json")
     assert np.linalg.norm(bump) != np.linalg.norm(default_truth.b_true)
     bad = tmp_path / "bad.json"
-    for text in ("{nope", "[1, 2]", '{"center": [1]}'):
+    for text, code in (
+        ("{nope", 2), ("[1, 2]", 2), ('{"center": [1]}', 2),
+        ('{"center": {"0": 1, "1": 2}}', 2), ('{"width": 1e400000}', 1),
+        ('{"width": NaN}', 1), ('{"amplitude": Infinity}', 1),
+        ('{"center": [NaN, 4.0]}', 1), ('{"center": [4.0, -Infinity]}', 1),
+        ('{"width": 1' + "0" * 400 + "}", 2),
+    ):
         bad.write_text(text)
         assert main([
             "synth", "--example", "3", "--grid", "16", "--modes", "2", "--m", "8",
             "--actuation", str(bad), "--out", str(tmp_path / "x"),
-        ]) == 2, text
+        ]) == code, text
+        assert not (tmp_path / "x").exists()
 
 
 def test_fit_transpose_input(tmp_path):
@@ -406,7 +429,7 @@ def test_fit_rejects_bad_dt(tmp_path, capsys, dt):
     assert code == 1
     assert not (tmp_path / "fit").exists() and not (tmp_path / "fitc").exists()
     capsys.readouterr()
-    for example in (["2", "--q", "8"], ["3", "--grid", "16", "--m", "6"]):
+    for example in (["1"], ["2", "--q", "8"], ["3", "--grid", "16", "--m", "6"]):
         code = main(["synth", "--example", *example, f"--dt={dt}",
                      "--out", str(tmp_path / "synth")])
         assert code == 1
@@ -487,3 +510,106 @@ def test_modal_truth_rejects_input_map_off_span():
     off = np.ones_like(truth.b_true)  # the constant field is not an active mode
     with pytest.raises(SchemaError, match="span"):
         realize_truth(dataclasses.replace(truth, a_true=None, b_true=off))
+
+
+# The documented exit code of every error class, written out here so that a
+# class added to dmdc.errors without a row fails the walk below.
+EXIT_CODES = {
+    "UsageError": 1,
+    "InvalidConfigError": 1,
+    "TruncationOrderError": 1,
+    "FormatError": 2,
+    "ParseError": 2,
+    "SchemaError": 2,
+    "LengthError": 2,
+    "ShapeError": 2,
+    "InsufficientDataError": 2,
+    "InvalidInputError": 2,
+    "DmdcError": 3,
+    "DegenerateMatrixError": 3,
+    "NumericalFailureError": 3,
+    "DivergenceError": 3,
+    "SingularFrequencyError": 3,
+    "OSError": 2,
+}
+ERROR_CLASSES = [
+    c for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, errors.DmdcError)
+]
+
+
+def test_exit_code_table_names_every_error_class():
+    assert {c.__name__ for c in ERROR_CLASSES} | {"OSError"} == EXIT_CODES.keys()
+
+
+@pytest.mark.parametrize(
+    "exc_type", ERROR_CLASSES + [OSError], ids=lambda c: c.__name__
+)
+def test_exit_code_of_every_error_class(monkeypatch, capsys, tmp_path, exc_type):
+    def command(args):
+        raise exc_type("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "fit", command)
+    assert main(["fit", "--out", str(tmp_path)]) == EXIT_CODES[exc_type.__name__]
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+NOT_UTF8 = b"1,2\n\xff\xfe,3\n"
+
+
+@pytest.fixture
+def ex1_files(tmp_path):
+    """Example-1 dataset and a known-B model fitted to it."""
+    _write_ex1(tmp_path)
+    assert main(["synth", "--example", "1", "--out", str(tmp_path / "ds")]) == 0
+    assert main(["fitc", "--x", str(tmp_path / "x.csv"),
+                 "--xp", str(tmp_path / "xp.csv"), "--u", str(tmp_path / "u.csv"),
+                 "--b-matrix", str(tmp_path / "b.csv"),
+                 "--out", str(tmp_path / "fitc")]) == 0
+    return tmp_path / "fitc" / "model.json", tmp_path / "ds" / "truth.json"
+
+
+@pytest.mark.parametrize("target, edit", [
+    pytest.param("model", NOT_UTF8, id="model-not-utf8"),
+    pytest.param("truth", NOT_UTF8, id="truth-not-utf8"),
+    pytest.param("model", b"[" * 100000 + b"]" * 100000, id="model-deep-array"),
+    pytest.param("truth", b"[" * 100000 + b"]" * 100000, id="truth-deep-array"),
+    pytest.param("model", b"[" + b"9" * 5000 + b"]", id="model-long-integer"),
+    *(pytest.param("model", (field, value), id=f"{field}-{value}")
+      for field in ("a_tilde", "b_tilde") for value in ([5], [1, 2])),
+    *(pytest.param("truth", ("eigenvalues", value), id=f"eigenvalues-{value}")
+      for value in (5, None, True, 1.5)),
+    pytest.param("model", ("dt", [10**400, "0x1p0"]), id="model-dt-big-int"),
+    pytest.param("truth", ("dt", [10**400, "0x1p0"]), id="truth-dt-big-int"),
+    pytest.param("model", ("dt", [1.0, "0x1p99999"]), id="dt-hex-overflow"),
+    pytest.param("model", (("basis", "file"), "model\0basis.bin"), id="nul-sidecar"),
+    pytest.param("truth", (("files", "b_true", "file"), "t\0.bin"), id="truth-nul-sidecar"),
+])
+def test_malformed_model_and_truth_exit_2(ex1_files, capsys, tmp_path, target, edit):
+    model, truth = ex1_files
+    path = model if target == "model" else truth
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
+    else:
+        doc = json.loads(path.read_text())
+        key, value = edit
+        _set(doc, key if isinstance(key, tuple) else (key,), value)
+        path.write_text(json.dumps(doc))
+    argv = ["compare", "--model", str(model), "--out", str(tmp_path / "cmp")]
+    argv += ["--truth", str(truth)] if target == "truth" else ["--model2", str(model)]
+    assert main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_non_utf8_matrix_exits_2(tmp_path, capsys):
+    bad = tmp_path / "traj.csv"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["fit", "--traj", str(bad), "--out", str(tmp_path / "fit")]) == 2
+    assert "not UTF-8" in capsys.readouterr().err

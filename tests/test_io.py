@@ -1,6 +1,8 @@
 import dataclasses
+import copy
 import hashlib
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dmdc import (
+    DmdcError,
     FormatError,
     LengthError,
     ParseError,
@@ -463,3 +466,90 @@ def test_model_round_trip_property(rec):
     else:
         assert _same_bits(back.b_tilde, rec.b_tilde)
     assert back.provenance == rec.provenance
+
+
+# --- malformed files: each reader returns or raises a DmdcError -------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from((10**400, -(10**400), "0x1p99999", "model_basis.bin")),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def valid_indexes(tmp_path_factory):
+    """A known-B model index and a dense truth index, each with its sidecars."""
+    d = tmp_path_factory.mktemp("indexes")
+    rec = next(r for r in _records() if r.kind == "dmdc-known-b")
+    dio.write_model(rec, d / "model.json")
+    dio.write_truth(gen_sparse_fourier(grid=4, n_modes=1, m=3, seed=2).truth,
+                    d / "truth.json")
+    return {
+        reader: (d, json.loads((d / name).read_text()))
+        for reader, name in ((dio.read_model, "model.json"),
+                             (dio.read_truth, "truth.json"))
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_index_with_any_field_replaced_reads_or_raises_dmdc_error(valid_indexes, data):
+    reader = data.draw(st.sampled_from(sorted(valid_indexes, key=repr)))
+    d, doc = valid_indexes[reader]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(_JSON_VALUES)
+    if path:
+        doc = copy.deepcopy(doc)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        doc = value
+    # the sidecars sit next to the mutant, so its index entries resolve
+    mutant = d / "mutant.json"
+    mutant.write_text(json.dumps(doc))
+    try:
+        reader(mutant)
+    except DmdcError:
+        pass
+
+
+_BIN_HEADS = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+    lambda rc: dio.BIN_MAGIC + struct.pack("<QQ", *rc)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    suffix=st.sampled_from((".csv", ".bin")),
+    data=st.binary()
+    | st.text().map(str.encode)
+    | st.text(alphabet="0123456789.,-+eEinfa_ \n").map(str.encode)
+    | st.tuples(_BIN_HEADS, st.binary()).map(b"".join),
+)
+def test_matrix_file_of_any_bytes_reads_or_raises_dmdc_error(suffix, data):
+    reader = dio.read_matrix_csv if suffix == ".csv" else dio.read_matrix_bin
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / f"m{suffix}"
+        p.write_bytes(data)
+        try:
+            reader(p)
+        except DmdcError:
+            pass

@@ -3,6 +3,7 @@ import pytest
 
 from dmdc import (
     ActuationSpec,
+    DivergenceError,
     InsufficientDataError,
     InvalidConfigError,
     InvalidInputError,
@@ -46,6 +47,13 @@ def test_example1_validation():
         gen_example1(m=1)
     with pytest.raises(InvalidConfigError):
         gen_example1(x0=(1.0, 2.0, 3.0))
+    for bad in ({"x0": (float("nan"), 1.0)}, {"k_gain": float("inf")},
+                {"dt": float("nan")}, {"dt": 0.0}):
+        with pytest.raises(InvalidConfigError):
+            gen_example1(**bad)
+    with pytest.raises(DivergenceError):  # the state outgrows a float
+        gen_example1(k_gain=1e300, m=4)
+    assert gen_example1(dt=0.5).dt == 0.5
 
 
 def test_example1_consistency_invariant():
