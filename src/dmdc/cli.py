@@ -341,19 +341,8 @@ def _cmd_compare(args) -> int:
             f"eigenvalue counts differ: model has {record.eigenvalues.shape[0]}, "
             f"{ref_label} has {np.asarray(ref_eigs).shape[0]}"
         )
-    out = _out_dir(args)
     perm, dists = match_eigenvalues(record.eigenvalues, ref_eigs)
-    rows = []
-    for i, (j, d) in enumerate(zip(perm, dists)):
-        z, w = record.eigenvalues[i], np.asarray(ref_eigs)[j]
-        rows.append(_fmt_row([z.real, z.imag, w.real, w.imag, d]))
-    _write_table(
-        out / "eigen_compare.csv",
-        ["model_re", "model_im", "ref_re", "ref_im", "abs_error"],
-        rows,
-    )
-    print(f"spectral_distance={float(np.max(dists)) if dists.size else 0.0!r}")
-
+    sims = None
     if (
         ref_modes is not None
         and record.modes.shape[0] == np.asarray(ref_modes).shape[0]
@@ -362,13 +351,6 @@ def _cmd_compare(args) -> int:
         sims = mode_cosine_similarities(
             record.modes, np.asarray(ref_modes)[:, perm]
         )
-        _write_table(
-            out / "mode_similarity.csv",
-            ["mode", "cosine_similarity"],
-            [f"{i},{repr(float(s))}" for i, s in enumerate(sims)],
-        )
-        print(f"min_mode_similarity={float(np.min(sims))!r}")
-
     if args.freqresp:
         omegas = _omega_grid(args)
         ss_a = _record_realization(record)
@@ -382,6 +364,29 @@ def _cmd_compare(args) -> int:
             raise ShapeError(
                 f"frequency responses differ in shape: {sig_a.shape} vs {sig_b.shape}"
             )
+
+    # every check has passed: only now create --out and write the tables
+    out = _out_dir(args)
+    rows = []
+    for i, (j, d) in enumerate(zip(perm, dists)):
+        z, w = record.eigenvalues[i], np.asarray(ref_eigs)[j]
+        rows.append(_fmt_row([z.real, z.imag, w.real, w.imag, d]))
+    _write_table(
+        out / "eigen_compare.csv",
+        ["model_re", "model_im", "ref_re", "ref_im", "abs_error"],
+        rows,
+    )
+    print(f"spectral_distance={float(np.max(dists)) if dists.size else 0.0!r}")
+
+    if sims is not None:
+        _write_table(
+            out / "mode_similarity.csv",
+            ["mode", "cosine_similarity"],
+            [f"{i},{repr(float(s))}" for i, s in enumerate(sims)],
+        )
+        print(f"min_mode_similarity={float(np.min(sims))!r}")
+
+    if args.freqresp:
         rel = np.abs(sig_a - sig_b) / np.maximum(np.abs(sig_b), 1e-300)
         k = sig_a.shape[1]
         header = ["omega"]

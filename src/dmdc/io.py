@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, LengthError, ParseError, SchemaError
+from .errors import FormatError, InvalidInputError, LengthError, ParseError, SchemaError
 from .linalg import as_matrix
 from .synth import GroundTruth
 
@@ -82,7 +82,7 @@ def read_json_object(path, what: str) -> dict:
 def write_matrix_csv(m, path) -> None:
     """Write a matrix as CSV, one state row per line, snapshots as columns."""
     a = as_matrix(m, "matrix")
-    lines = "\n".join(",".join(repr(float(v)) for v in row) for row in a)
+    lines = "\n".join(",".join(map(repr, row.tolist())) for row in a)
     write_text_atomic(path, lines + "\n")
 
 
@@ -92,11 +92,36 @@ def read_matrix_csv(path, transpose: bool = False) -> np.ndarray:
     Raises FormatError for ragged rows (with the line number) and
     ParseError for cells that are not finite decimals (with coordinates).
     """
-    lines = _read_text(path).splitlines()
+    text = _read_text(path)
+    lines = text.splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:
         raise FormatError(f"{path}: empty matrix file")
+    a = _loadtxt(text, lines)
+    if a is None:
+        a = _parse_cells(lines, path)
+    return a.T.copy() if transpose else a
+
+
+def _loadtxt(text: str, lines: list[str]) -> np.ndarray | None:
+    """numpy's C reader, or None wherever its result could differ from
+    ``_parse_cells``, which then decides between an array and an error."""
+    # numpy strips from a cell every character for which str.isspace() holds;
+    # float() does not strip U+001F (U+001C-U+001E already end a line)
+    if "\x1f" in text:
+        return None
+    try:
+        a = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt skips blank lines, which _parse_cells reports as ragged rows
+    if a.shape[0] != len(lines) or not np.isfinite(a).all():
+        return None
+    return a
+
+
+def _parse_cells(lines: list[str], path) -> np.ndarray:
     width = None
     rows = []
     for i, line in enumerate(lines, start=1):
@@ -119,8 +144,7 @@ def read_matrix_csv(path, transpose: bool = False) -> np.ndarray:
                 raise ParseError(f"{path}: line {i}, column {j}: non-finite value")
             row.append(v)
         rows.append(row)
-    a = np.array(rows, dtype=np.float64)
-    return a.T.copy() if transpose else a
+    return np.array(rows, dtype=np.float64)
 
 
 def _bin_bytes(m) -> bytes:
@@ -183,6 +207,13 @@ def _dec_real(pair, where: str) -> float:
     if d != h:
         raise SchemaError(f"{where}: decimal {pair[0]!r} disagrees with hex")
     return h
+
+
+def _require_finite(**fields) -> None:
+    # A NaN would be written, then rejected by _dec_real (NaN != NaN).
+    for name, v in fields.items():
+        if v is not None and not np.all(np.isfinite(v)):
+            raise InvalidInputError(f"{name} contains non-finite entries")
 
 
 def _enc_complex(z) -> list:
@@ -310,10 +341,13 @@ def write_model(record: ModelRecord, path) -> None:
 
     The sidecars are ``<stem>_basis.bin``, ``<stem>_modes_re.bin`` and
     ``<stem>_modes_im.bin`` next to ``path``; they are written first and
-    the index last.
+    the index last. Raises InvalidInputError, before any file is written,
+    if dt, a_tilde, b_tilde or an eigenvalue is not finite.
     """
     if record.kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model kind {record.kind!r}")
+    _require_finite(dt=record.dt, a_tilde=record.a_tilde, b_tilde=record.b_tilde,
+                    eigenvalues=record.eigenvalues)
     path = Path(path)
     doc = {
         "kind": record.kind,
@@ -410,7 +444,12 @@ def read_model(path) -> ModelRecord:
 
 
 def write_truth(truth: GroundTruth, path, dt: float = 1.0) -> None:
-    """Write ground truth: a JSON index plus sibling binary matrices."""
+    """Write ground truth: a JSON index plus sibling binary matrices.
+
+    Raises InvalidInputError, before any file is written, if dt or an
+    eigenvalue is not finite.
+    """
+    _require_finite(dt=dt, eigenvalues=truth.eigs_true)
     path = Path(path)
     files = {
         "a_true": _write_sidecar(path, "a_true", truth.a_true),

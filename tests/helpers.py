@@ -1,7 +1,10 @@
 """Shared fixtures: benchmark matrices, independent oracles, data builders."""
+import math
+
 import numpy as np
 
-from dmdc.errors import InvalidInputError, SingularFrequencyError
+from dmdc.errors import FormatError, InvalidInputError, ParseError, SingularFrequencyError
+from dmdc.io import _read_text
 from dmdc.rom import SINGULAR_FREQ_TOL, StateSpaceRealization
 
 # Example-1 benchmark: unstable diag(1.5, 0.1) system under u = -x1 feedback,
@@ -91,3 +94,40 @@ def transfer_singular_values(ss: StateSpaceRealization, omega: float) -> np.ndar
         z * np.eye(ss.order) - ss.a, ss.b.astype(np.complex128)
     )
     return np.linalg.svd(ss.c @ resolvent, compute_uv=False)
+
+
+def read_matrix_csv_per_cell(path, transpose: bool = False) -> np.ndarray:
+    """Read a CSV matrix; rows are state entries, columns snapshots.
+
+    Oracle for ``dmdc.io.read_matrix_csv``: the per-cell parser alone, with
+    no vectorized path.
+    """
+    lines = _read_text(path).splitlines()
+    while lines and lines[-1].strip() == "":
+        lines.pop()
+    if not lines:
+        raise FormatError(f"{path}: empty matrix file")
+    width = None
+    rows = []
+    for i, line in enumerate(lines, start=1):
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise FormatError(
+                f"{path}: line {i}: expected {width} cells, got {len(cells)}"
+            )
+        row = []
+        for j, cell in enumerate(cells, start=1):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {i}, column {j}: not a number: {cell.strip()!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise ParseError(f"{path}: line {i}, column {j}: non-finite value")
+            row.append(v)
+        rows.append(row)
+    a = np.array(rows, dtype=np.float64)
+    return a.T.copy() if transpose else a

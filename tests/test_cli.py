@@ -406,6 +406,24 @@ def test_fit_output_is_index_sidecars_and_table(tmp_path):
     ]
 
 
+def test_failing_compare_leaves_no_output_directory(tmp_path, capsys):
+    fit = _fit_example1_traj(tmp_path)
+    assert main(["synth", "--example", "1", "--out", str(tmp_path / "ds")]) == 0
+    cmp_out = tmp_path / "cmp"
+    code = main(["compare", "--model", str(fit / "model.json"),
+                 "--truth", str(tmp_path / "ds" / "truth.json"), "--freqresp",
+                 "--out", str(cmp_out)])
+    assert code == 1
+    assert "no inputs" in capsys.readouterr().err
+    assert not cmp_out.exists()
+    code = main(["compare", "--model", str(fit / "model.json"),
+                 "--model2", str(fit / "model.json"), "--freqresp",
+                 "--omega-count", "0", "--out", str(cmp_out)])
+    assert code == 1
+    assert "--omega-count" in capsys.readouterr().err
+    assert not cmp_out.exists()
+
+
 def test_compare_missing_sidecar_exits_2(tmp_path, capsys):
     out = _fit_example1_traj(tmp_path)
     (out / "model_modes_re.bin").unlink()

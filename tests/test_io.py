@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from dmdc import (
     DmdcError,
     FormatError,
+    InvalidInputError,
     LengthError,
     ParseError,
     SchemaError,
@@ -24,7 +25,15 @@ from dmdc import (
     gen_sparse_fourier,
 )
 from dmdc import io as dio
-from helpers import EX1_B, EX1_UPS, EX1_X, EX1_XP, consistent_forced_data, random_diagonalizable
+from helpers import (
+    EX1_B,
+    EX1_UPS,
+    EX1_X,
+    EX1_XP,
+    consistent_forced_data,
+    random_diagonalizable,
+    read_matrix_csv_per_cell,
+)
 
 
 def test_csv_trivial_parse(tmp_path):
@@ -239,6 +248,35 @@ def _written_model(tmp_path):
     p = tmp_path / "model.json"
     dio.write_model(rec, p)
     return rec, p
+
+
+def _with_nan(value):
+    if np.ndim(value) == 0:
+        return np.nan
+    bad = np.array(value, copy=True)
+    bad.flat[0] = np.nan
+    return bad
+
+
+@pytest.mark.parametrize("field", ["dt", "a_tilde", "b_tilde", "eigenvalues"])
+def test_write_model_rejects_non_finite_and_leaves_no_file(tmp_path, field):
+    rec, p = _written_model(tmp_path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    bad = dataclasses.replace(rec, **{field: _with_nan(getattr(rec, field))})
+    for target in (p, tmp_path / "other.json"):
+        with pytest.raises(InvalidInputError, match=field):
+            dio.write_model(bad, target)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+def test_write_truth_rejects_non_finite_and_leaves_no_file(tmp_path):
+    truth = gen_sparse_fourier(grid=4, n_modes=1, m=3, seed=2).truth
+    with pytest.raises(InvalidInputError, match="dt"):
+        dio.write_truth(truth, tmp_path / "truth.json", dt=np.nan)
+    bad = dataclasses.replace(truth, eigs_true=_with_nan(truth.eigs_true))
+    with pytest.raises(InvalidInputError, match="eigenvalues"):
+        dio.write_truth(bad, tmp_path / "truth.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_model_is_index_plus_sidecars(tmp_path):
@@ -553,3 +591,68 @@ def test_matrix_file_of_any_bytes_reads_or_raises_dmdc_error(suffix, data):
             reader(p)
         except DmdcError:
             pass
+
+
+# Tokens on which the per-cell parser and numpy's reader can disagree:
+# float() takes underscores and non-ASCII digits, numpy's reader skips blank
+# lines and strips the unit separator, and neither takes comments or quotes.
+_CSV_TOKENS = (
+    list("0123456789.eE+-_, \t\x0c\x0b\x1f\u3000\n\r#\"\u0661\ufeff")
+    + ["nan", "inf", "1e400", "\r\n", "\n\n", "\n \n", "\n\t\n", "\n,\n"]
+)
+_CSV_PADS = st.sampled_from(("", "", " ", "\t", "\x0c", "\x1f", "\u3000"))
+_CSV_LINE_ENDS = st.sampled_from(("\n", "\n", "\r\n", "\r", "\n\n", "\n \n", "\n\t\n"))
+
+
+@st.composite
+def _csv_of_matrix(draw):
+    """Shortest reprs of a random float64 matrix, cells padded with
+    whitespace and lines ended by newlines or blank lines."""
+    m = draw(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    pad = draw(_CSV_PADS)
+    return "".join(
+        ",".join(pad + repr(v) + pad for v in row) + draw(_CSV_LINE_ENDS)
+        for row in m.tolist()
+    )
+
+
+_CSV_TEXTS = _csv_of_matrix() | st.lists(
+    st.sampled_from(_CSV_TOKENS), max_size=40
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=_CSV_TEXTS,
+    insert=st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(_CSV_TOKENS)),
+    transpose=st.booleans(),
+)
+def test_csv_reader_matches_per_cell_parser(text, insert, transpose):
+    if insert is not None:
+        at, token = insert[0] % (len(text) + 1), insert[1]
+        text = text[:at] + token + text[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "m.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        outcomes = []
+        for reader in (dio.read_matrix_csv, read_matrix_csv_per_cell):
+            try:
+                a = reader(p, transpose=transpose)
+            except DmdcError as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append((a.shape, a.view(np.int64).tobytes()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_csv_writer_matches_cell_by_cell_repr(tmp_path):
+    m = np.random.default_rng(7).standard_normal((5, 7)) * np.logspace(-300, 300, 7)
+    m[0, 0], m[1, 1], m[2, 2] = -0.0, 5e-324, 1.7976931348623157e308
+    p = tmp_path / "m.csv"
+    dio.write_matrix_csv(m, p)
+    old = "\n".join(",".join(repr(float(v)) for v in row) for row in m) + "\n"
+    assert p.read_bytes() == old.encode("utf-8")
