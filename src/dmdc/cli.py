@@ -20,6 +20,8 @@ from .dmdc import dmdc_fit_known_b, dmdc_fit_unknown_b
 from .errors import DmdcError, FormatError, SchemaError, ShapeError, UsageError
 from .linalg import DEFAULT_SVD_THRESHOLD
 from .rom import (
+    DEFAULT_FREQ_COUNT,
+    DEFAULT_FREQ_MIN,
     StateSpaceRealization,
     default_frequency_grid,
     frequency_response,
@@ -92,6 +94,12 @@ def _omega_grid(args) -> np.ndarray:
     return default_frequency_grid(args.omega_count, args.omega_min, args.omega_max)
 
 
+def _add_omega_grid(parser) -> None:
+    parser.add_argument("--omega-count", type=int, default=DEFAULT_FREQ_COUNT)
+    parser.add_argument("--omega-min", type=float, default=DEFAULT_FREQ_MIN)
+    parser.add_argument("--omega-max", type=float, default=float(np.pi))
+
+
 def _eig_table(path, eigenvalues) -> None:
     rows = [
         _fmt_row([z.real, z.imag, abs(z)]) for z in np.asarray(eigenvalues)
@@ -162,9 +170,7 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--model2", help="second model record file")
     p_cmp.add_argument("--freqresp", action="store_true",
                        help="also compare frequency-response curves")
-    p_cmp.add_argument("--omega-count", type=int, default=200)
-    p_cmp.add_argument("--omega-min", type=float, default=1e-3)
-    p_cmp.add_argument("--omega-max", type=float, default=float(np.pi))
+    _add_omega_grid(p_cmp)
     p_cmp.add_argument("--out", required=True, help="output directory")
 
     p_fr = sub.add_parser("freqresp", help="emit frequency-response singular values")
@@ -172,11 +178,23 @@ def build_parser() -> _Parser:
     p_fr.add_argument("--a", help="A matrix file (with --b, --c)")
     p_fr.add_argument("--b", help="B matrix file")
     p_fr.add_argument("--c", help="C matrix file")
-    p_fr.add_argument("--omega-count", type=int, default=200)
-    p_fr.add_argument("--omega-min", type=float, default=1e-3)
-    p_fr.add_argument("--omega-max", type=float, default=float(np.pi))
+    _add_omega_grid(p_fr)
     p_fr.add_argument("--out", required=True, help="output directory")
     return parser
+
+
+def _write_fit(args, model, inputs: dict, truncation: dict) -> Path:
+    """Create --out and write the model record and its eigenvalue table."""
+    out = _out_dir(args)
+    provenance = {
+        "inputs": inputs,
+        "truncation": {k: _trunc_provenance(v) for k, v in truncation.items()},
+        "seed": None,
+        "transpose_input": bool(args.transpose_input),
+    }
+    dio.write_model(dio.ModelRecord.from_model(model, provenance), out / "model.json")
+    _eig_table(out / "eigenvalues.csv", model.eigenvalues)
+    return out
 
 
 def _cmd_fit(args) -> int:
@@ -195,15 +213,7 @@ def _cmd_fit(args) -> int:
         inputs["x"] = _digest(args.x)
         inputs["xp"] = _digest(args.xp)
     model = dmd_fit(x, xp, trunc, args.dt)
-    out = _out_dir(args)
-    provenance = {
-        "inputs": inputs,
-        "truncation": {"r": _trunc_provenance(trunc)},
-        "seed": None,
-        "transpose_input": bool(args.transpose_input),
-    }
-    dio.write_model(dio.ModelRecord.from_model(model, provenance), out / "model.json")
-    _eig_table(out / "eigenvalues.csv", model.eigenvalues)
+    out = _write_fit(args, model, inputs, {"r": trunc})
     print(f"fit: rank {model.rank}, wrote {out / 'model.json'}")
     return EXIT_OK
 
@@ -233,18 +243,7 @@ def _cmd_fitc(args) -> int:
         model = dmdc_fit_known_b(x, xp, ups, b, trunc_r, args.dt)
     else:
         model, report = dmdc_fit_unknown_b(x, xp, ups, trunc_p, trunc_r, args.dt)
-    out = _out_dir(args)
-    provenance = {
-        "inputs": inputs,
-        "truncation": {
-            "p": _trunc_provenance(trunc_p),
-            "r": _trunc_provenance(trunc_r),
-        },
-        "seed": None,
-        "transpose_input": bool(args.transpose_input),
-    }
-    dio.write_model(dio.ModelRecord.from_model(model, provenance), out / "model.json")
-    _eig_table(out / "eigenvalues.csv", model.eigenvalues)
+    out = _write_fit(args, model, inputs, {"p": trunc_p, "r": trunc_r})
     dio.write_matrix_csv(model.b_tilde, out / "b_tilde.csv")
     print(f"fitc: ranks p={model.input_rank} r={model.output_rank}, "
           f"wrote {out / 'model.json'}")
@@ -316,7 +315,7 @@ def _cmd_synth(args) -> int:
 
 
 def _record_realization(record: dio.ModelRecord) -> StateSpaceRealization:
-    if record.b_tilde is None:
+    if record.b_tilde.shape[1] == 0:
         raise UsageError(f"model kind {record.kind!r} has no inputs")
     return realize(record)
 

@@ -96,15 +96,14 @@ def exact_modes(
     eigen: EigenDecomposition,
     lift: np.ndarray,
     zero_basis: np.ndarray,
-    zero_tol: float = ZERO_EIGENVALUE_TOL,
 ) -> np.ndarray:
     """Lift reduced eigenvectors to dynamic modes.
 
-    Eigenvectors with |lambda| above ``zero_tol`` go through ``lift``;
-    zero-eigenvalue vectors fall back to the projection basis.
+    Eigenvectors with |lambda| above ``ZERO_EIGENVALUE_TOL`` go through
+    ``lift``; zero-eigenvalue vectors fall back to the projection basis.
     """
     modes = lift.astype(np.complex128) @ eigen.vectors
-    zero = np.abs(eigen.values) <= zero_tol
+    zero = np.abs(eigen.values) <= ZERO_EIGENVALUE_TOL
     if np.any(zero):
         modes[:, zero] = zero_basis.astype(np.complex128) @ eigen.vectors[:, zero]
     return modes

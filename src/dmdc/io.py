@@ -6,7 +6,10 @@ reprs and the binary format is little-endian float64.
 
 Model records and ground truth are a JSON index plus binary sidecars. The
 index holds the small fields (kinds, ranks, dt, reduced operators,
-eigenvalues, provenance) with every float as an exact decimal-hex pair.
+eigenvalues, provenance) as plain JSON numbers, which round-trip every
+float bit for bit; eigenvalues are [re, im] rows, and a DMD record's
+b_tilde is r x 0, r empty rows. Older indexes, which stored each float as
+a [decimal, hex] pair, are rejected and must be regenerated.
 Each n-sized matrix lives in a sibling ``<stem>_<tag>.bin`` file (complex
 ones split into ``_re`` and ``_im``) that the index names together with
 the sha256 of its bytes, so a stale or edited sidecar is rejected.
@@ -180,64 +183,48 @@ def _bin_matrix(data: bytes, path) -> np.ndarray:
     return flat.reshape((rows, cols), order="F").copy()
 
 
-# --- exact scalar encoding -------------------------------------------------
+# --- index numbers ----------------------------------------------------------
 #
-# Every float is stored as a [decimal, hex] pair: the decimal is for human
-# readers, the hex digits are the authoritative bit pattern. Readers verify
-# that the two agree so hand edits cannot silently skew one of them.
+# Floats in an index are plain JSON numbers: json writes a float as its
+# shortest round-trip repr and reads it back with float(), so every bit
+# survives, signed zeros and subnormals included. Complex values are
+# [re, im] rows.
 
-def _enc_real(v) -> list:
-    f = float(v)
-    return [f, f.hex()]
-
-
-def _dec_real(pair, where: str) -> float:
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not isinstance(pair[0], (int, float))
-        or isinstance(pair[0], bool)
-        or not isinstance(pair[1], str)
-    ):
-        raise SchemaError(f"{where}: expected [decimal, hex] pair, got {pair!r}")
+def _as_float(v, where: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(f"{where}: expected a number, got {type(v).__name__}")
     try:
-        h, d = float.fromhex(pair[1]), float(pair[0])
-    except (ValueError, OverflowError):
-        raise SchemaError(f"{where}: {pair!r} does not encode a float") from None
-    if d != h:
-        raise SchemaError(f"{where}: decimal {pair[0]!r} disagrees with hex")
-    return h
+        return float(v)
+    except OverflowError:
+        raise SchemaError(f"{where}: integer overflows a float") from None
+
+
+def _dec_real(v, where: str) -> float:
+    f = _as_float(v, where)
+    if not math.isfinite(f):
+        raise SchemaError(f"{where}: non-finite value {f!r}")
+    return f
 
 
 def _require_finite(**fields) -> None:
-    # A NaN would be written, then rejected by _dec_real (NaN != NaN).
+    # json would write NaN or Infinity, which the readers reject.
     for name, v in fields.items():
-        if v is not None and not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(v)):
             raise InvalidInputError(f"{name} contains non-finite entries")
 
 
-def _enc_complex(z) -> list:
-    z = complex(z)
-    return [_enc_real(z.real), _enc_real(z.imag)]
-
-
-def _dec_complex(pair, where: str) -> complex:
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise SchemaError(f"{where}: expected (re, im) pair, got {pair!r}")
-    return complex(_dec_real(pair[0], where), _dec_real(pair[1], where))
-
-
-def _enc_real_matrix(m) -> list:
-    return [[_enc_real(v) for v in row] for row in np.atleast_2d(np.asarray(m))]
+def _complex_rows(z) -> list:
+    z = np.asarray(z)
+    return np.column_stack([z.real, z.imag]).tolist()
 
 
 def _dec_real_matrix(rows, where: str) -> np.ndarray:
     if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
         raise SchemaError(f"{where}: expected a non-empty array of rows")
-    out = [[_dec_real(p, where) for p in row] for row in rows]
-    if len({len(r) for r in out}) != 1:
+    if len({len(r) for r in rows}) != 1:
         raise SchemaError(f"{where}: ragged rows")
-    return np.array(out, dtype=np.float64)
+    return np.array([[_dec_real(v, where) for v in row] for row in rows],
+                    dtype=np.float64)
 
 
 # --- binary sidecars --------------------------------------------------------
@@ -307,14 +294,17 @@ def _read_complex_sidecars(index: Path, entry, where: str) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class ModelRecord:
-    """Serializable snapshot of a fitted model plus its provenance."""
+    """Serializable snapshot of a fitted model plus its provenance.
+
+    ``b_tilde`` is r x l, with l = 0 for plain DMD, as on the model.
+    """
 
     kind: str
     rank_p: int
     rank_r: int
     dt: float
     a_tilde: np.ndarray
-    b_tilde: np.ndarray | None
+    b_tilde: np.ndarray
     basis: np.ndarray
     eigenvalues: np.ndarray
     modes: np.ndarray
@@ -328,7 +318,7 @@ class ModelRecord:
             rank_r=model.output_rank,
             dt=model.dt,
             a_tilde=model.a_tilde,
-            b_tilde=None if model.kind == "dmd" else model.b_tilde,
+            b_tilde=model.b_tilde,
             basis=model.basis,
             eigenvalues=model.eigen.values,
             modes=model.modes,
@@ -353,13 +343,11 @@ def write_model(record: ModelRecord, path) -> None:
         "kind": record.kind,
         "rank_p": int(record.rank_p),
         "rank_r": int(record.rank_r),
-        "dt": _enc_real(record.dt),
-        "a_tilde": _enc_real_matrix(record.a_tilde),
-        "b_tilde": None
-        if record.b_tilde is None
-        else _enc_real_matrix(record.b_tilde),
+        "dt": float(record.dt),
+        "a_tilde": record.a_tilde.tolist(),
+        "b_tilde": record.b_tilde.tolist(),
         "basis": _write_sidecar(path, "basis", record.basis),
-        "eigenvalues": [_enc_complex(z) for z in record.eigenvalues],
+        "eigenvalues": _complex_rows(record.eigenvalues),
         "modes": _write_complex_sidecars(path, "modes", record.modes),
         "provenance": record.provenance,
     }
@@ -373,15 +361,16 @@ def _require(doc: dict, key: str, path):
 
 
 def _read_eigenvalues(doc: dict, path) -> np.ndarray:
-    raw = _require(doc, "eigenvalues", path)
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}: eigenvalues must be an array")
-    where = f"{path}: eigenvalues"
-    return np.array([_dec_complex(z, where) for z in raw], dtype=np.complex128)
+    parts = _dec_real_matrix(_require(doc, "eigenvalues", path), f"{path}: eigenvalues")
+    if parts.shape[1] != 2:
+        raise SchemaError(f"{path}: eigenvalues must be [re, im] rows")
+    z = np.empty(parts.shape[0], dtype=np.complex128)
+    z.real, z.imag = parts[:, 0], parts[:, 1]  # bitwise, signed zeros included
+    return z
 
 
 def _read_dt(doc: dict, path) -> float:
-    dt = _dec_real(_require(doc, "dt", path), f"{path}: dt")
+    dt = _as_float(_require(doc, "dt", path), f"{path}: dt")
     if not (math.isfinite(dt) and dt > 0.0):
         raise SchemaError(f"{path}: dt must be finite and positive, got {dt!r}")
     return dt
@@ -390,11 +379,12 @@ def _read_dt(doc: dict, path) -> float:
 def read_model(path) -> ModelRecord:
     """Read a model index and its sidecars.
 
-    Raises SchemaError on structural problems, an index that contradicts
-    itself (b_tilde present on a "dmd" kind or absent on a DMDc kind, ranks
-    that disagree with a_tilde, a dt that is not finite and positive) or a
-    sidecar that does not match its digest, FormatError for a missing or
-    malformed sidecar and LengthError for a truncated one.
+    Raises SchemaError on structural problems, a number that is not finite,
+    an index that contradicts itself (b_tilde with columns on a "dmd" kind
+    or with other than a_tilde's row count, ranks that disagree with
+    a_tilde, a dt that is not finite and positive) or a sidecar that does
+    not match its digest, FormatError for a missing or malformed sidecar
+    and LengthError for a truncated one.
     """
     path = Path(path)
     doc = read_json_object(path, "model")
@@ -405,7 +395,6 @@ def read_model(path) -> ModelRecord:
     rank_r = _require(doc, "rank_r", path)
     if not all(isinstance(r, int) and not isinstance(r, bool) for r in (rank_p, rank_r)):
         raise SchemaError(f"{path}: ranks must be integers")
-    b_raw = _require(doc, "b_tilde", path)
     basis = _read_sidecar(path, _require(doc, "basis", path), f"{path}: basis")
     modes = _read_complex_sidecars(path, _require(doc, "modes", path), f"{path}: modes")
     if basis is None or modes is None:
@@ -416,7 +405,7 @@ def read_model(path) -> ModelRecord:
         rank_r=rank_r,
         dt=_read_dt(doc, path),
         a_tilde=_dec_real_matrix(_require(doc, "a_tilde", path), f"{path}: a_tilde"),
-        b_tilde=None if b_raw is None else _dec_real_matrix(b_raw, f"{path}: b_tilde"),
+        b_tilde=_dec_real_matrix(_require(doc, "b_tilde", path), f"{path}: b_tilde"),
         basis=basis,
         eigenvalues=_read_eigenvalues(doc, path),
         modes=modes,
@@ -431,10 +420,10 @@ def read_model(path) -> ModelRecord:
         raise SchemaError(f"{path}: basis and modes differ in state dimension")
     if record.eigenvalues.shape[0] != r:
         raise SchemaError(f"{path}: eigenvalue count disagrees with a_tilde")
-    if (record.b_tilde is None) != (kind == "dmd"):
-        raise SchemaError(f"{path}: b_tilde must be null exactly when kind is 'dmd'")
-    if record.b_tilde is not None and record.b_tilde.shape[0] != r:
+    if record.b_tilde.shape[0] != r:
         raise SchemaError(f"{path}: b_tilde row count disagrees with a_tilde")
+    if kind == "dmd" and record.b_tilde.shape[1] != 0:
+        raise SchemaError(f"{path}: b_tilde must have zero columns when kind is 'dmd'")
     if rank_r != r or rank_p < rank_r:
         raise SchemaError(
             f"{path}: ranks p={rank_p}, r={rank_r} disagree with a_tilde "
@@ -460,8 +449,8 @@ def write_truth(truth: GroundTruth, path, dt: float = 1.0) -> None:
     doc = {
         "kind": "ground-truth",
         "seed": int(truth.seed),
-        "dt": _enc_real(dt),
-        "eigenvalues": [_enc_complex(z) for z in truth.eigs_true],
+        "dt": float(dt),
+        "eigenvalues": _complex_rows(truth.eigs_true),
         "files": files,
     }
     write_text_atomic(path, json.dumps(doc, indent=1) + "\n")

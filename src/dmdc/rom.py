@@ -91,8 +91,7 @@ def realize(model) -> StateSpaceRealization:
     C is the projection basis, lifting reduced states back to measurement
     space. Plain DMD models have a zero-width B.
     """
-    b = np.zeros((len(model.a_tilde), 0)) if model.b_tilde is None else model.b_tilde
-    return StateSpaceRealization(a=model.a_tilde, b=b, c=model.basis)
+    return StateSpaceRealization(a=model.a_tilde, b=model.b_tilde, c=model.basis)
 
 
 def realize_truth(truth) -> StateSpaceRealization:
@@ -250,12 +249,15 @@ def match_eigenvalues(eigs_a, eigs_b) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (perm, dists): ``eigs_b[perm[i]]`` is matched to ``eigs_a[i]``
     and ``dists[i]`` is their absolute difference. The assignment
-    minimizes the total matched distance.
+    minimizes the total matched distance. Raises InvalidInputError if an
+    eigenvalue is not finite.
     """
     a = np.asarray(eigs_a, dtype=np.complex128).reshape(-1)
     b = np.asarray(eigs_b, dtype=np.complex128).reshape(-1)
     if a.size != b.size:
         raise ShapeError(f"spectra differ in size: {a.size} vs {b.size}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InvalidInputError("spectra must be finite")
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(a.size, dtype=int)

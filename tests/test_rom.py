@@ -300,6 +300,16 @@ def test_matching_agrees_with_brute_force():
         )
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.5, np.inf), complex(np.nan, 0.0)])
+def test_matching_rejects_non_finite_spectrum(bad):
+    good = np.array([0.5 + 0.1j, 0.5 - 0.1j])
+    for a, b in ((np.array([bad, 0.3]), good), (good, np.array([0.3, bad]))):
+        with pytest.raises(InvalidInputError, match="finite"):
+            match_eigenvalues(a, b)
+        with pytest.raises(InvalidInputError, match="finite"):
+            spectral_distance(a, b)
+
+
 def test_simulate_reproduces_training_outputs():
     rng = np.random.default_rng(97)
     a, _ = random_diagonalizable(rng, 4)
