@@ -16,12 +16,11 @@ import numpy as np
 from .dmd import DmdcModel, _checked_pair, _fit_projected, exact_modes
 from .errors import ShapeError, TruncationOrderError
 from .linalg import (
-    DEFAULT_SVD_THRESHOLD,
     TruncatedSvd,
     TruncationPolicy,
+    _leading_rows_rank,
     as_matrix,
     eig,
-    numerical_rank,
     truncated_svd,
 )
 
@@ -127,7 +126,7 @@ def dmdc_fit_unknown_b(
     modes = exact_modes(eigen, xvs @ (u1.T @ svd_r.u), svd_r.u)
 
     omega_rank = svd_p.numerical_rank()
-    required = numerical_rank(x, DEFAULT_SVD_THRESHOLD) + l
+    required = _leading_rows_rank(svd_p, x) + l
     report = IdentifiabilityReport(
         omega_rank=omega_rank,
         required_rank=required,

@@ -3,9 +3,14 @@
 All results are deterministic for a fixed input: the SVD sign ambiguity is
 removed by forcing the largest-magnitude entry of each left singular vector
 to be non-negative, and eigenpairs are sorted by a total order.
+
+Tall or wide SVD inputs first go through the method of snapshots, whose
+result is kept only when a directly computed residual certifies it; every
+other input, and every attempt the certificate rejects, goes to LAPACK.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +23,15 @@ from .errors import (
 )
 
 DEFAULT_SVD_THRESHOLD = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
+# Gram eigenvalues at or below this fraction of the largest are not lifted
+# (singular values below 1e-6 of the largest). Rounding moves the Gram
+# eigenvalues by (n + m) eps of its trace at worst and far less in practice
+# (the 49 null ones of the 128^2 example-3 X come out within 4e-16 of the
+# largest), so a lifted direction stands well clear of rounding. The cut
+# only chooses which directions to try: a real direction below it leaves a
+# residual the certificate rejects, so a bad cut costs time, never accuracy.
+_GRAM_CUT = 1e-12
 
 TruncationPolicy = int | float | None
 """Truncation policy for singular value factorizations.
@@ -60,8 +74,16 @@ class TruncatedSvd:
 
     u and v carry orthonormal columns; sigma is strictly positive and
     non-increasing. The sign of each column pair (u_i, v_i) is fixed so the
-    largest-magnitude entry of u_i is non-negative. ``spectrum`` holds all
-    min(m.shape) singular values of m, the truncated ones included.
+    largest-magnitude entry of u_i is non-negative.
+
+    ``spectrum`` lists the leading singular values of m, the truncated ones
+    included: all min(m.shape) of them from LAPACK, or those the method of
+    snapshots resolved. ``tail_bound`` is the Frobenius residual of m off
+    the listed directions, 0.0 when the list is complete. By Weyl's
+    inequality, up to rounding, every singular value not listed is at most
+    ``tail_bound`` and each listed one is within ``tail_bound`` of the
+    exact value; a certified factorization keeps it below 1e-10 of the
+    largest.
     """
 
     u: np.ndarray
@@ -69,13 +91,27 @@ class TruncatedSvd:
     v: np.ndarray
     rank: int
     spectrum: np.ndarray
+    tail_bound: float
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
 
     def numerical_rank(self, tau: float = DEFAULT_SVD_THRESHOLD) -> int:
-        """``numerical_rank`` of the factored matrix, read off ``spectrum``."""
-        return _rank_above(self.spectrum, tau)
+        """``numerical_rank`` of the factored matrix, read off ``spectrum``.
+
+        The singular values not listed are at most ``tail_bound``, so the
+        count holds for every ``tau`` >= DEFAULT_SVD_THRESHOLD. A smaller
+        ``tau`` that the unlisted values could reach raises
+        InvalidInputError.
+        """
+        rank = _rank_above(self.spectrum, tau)
+        if self.tail_bound >= tau * self.spectrum[0]:
+            raise InvalidInputError(
+                f"threshold {tau} is below the resolved spectrum: unlisted "
+                f"singular values reach {self.tail_bound / self.spectrum[0]:.1e}"
+                f" of the largest"
+            )
+        return rank
 
 
 @dataclass(frozen=True)
@@ -133,17 +169,166 @@ def truncated_svd(m, trunc: TruncationPolicy = None) -> TruncatedSvd:
     trunc : int, float or None
         Explicit rank, relative threshold in (0, 1), or None for the
         default threshold of 1e-10.
+
+    A tall or wide ``m`` is first factored by the certified method of
+    snapshots (``_snapshot_svd``); without a certificate the factors come
+    from LAPACK. Ranks, errors and the sign rule are the same either way.
     """
     a = as_matrix(m, "svd input")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    factors = _snapshot_svd(a, trunc)
+    if factors is None:
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        factors = u, s, vh.T, 0.0
+    u, s, v, tail = factors
     k = _resolve_rank(s, trunc, min(a.shape))
-    u, v = u[:, :k].copy(), vh[:k].T.copy()
+    u, v = u[:, :k].copy(), v[:, :k].copy()
     # Flip coupled column pairs so each u column's dominant entry is >= 0.
     for j in range(k):
         if u[np.argmax(np.abs(u[:, j])), j] < 0.0:
             u[:, j] = -u[:, j]
             v[:, j] = -v[:, j]
-    return TruncatedSvd(u=u, sigma=s[:k].copy(), v=v, rank=k, spectrum=s)
+    return TruncatedSvd(
+        u=u, sigma=s[:k].copy(), v=v, rank=k, spectrum=s, tail_bound=tail
+    )
+
+
+def _snapshots_pay(shape: tuple[int, int]) -> bool:
+    """Whether the method of snapshots can beat LAPACK's SVD on ``shape``.
+
+    Timed at one BLAS thread (OpenBLAS 0.3.31, 2-core x86-64 VM) on inputs
+    of rank 6, against LAPACK: 0.17x at 8192 x 59, 0.23x at 2048 x 199 and
+    0.52x at 400 x 59, but 1.07x at 100 x 100 and 2.2x at 400 x 10, where
+    the eigensolve or the per-call overhead dominates. It is tried when
+    the long side is at least four times the short one and LAPACK's work,
+    long * short**2, is at least 2**19.
+    """
+    short, long = sorted(shape)
+    return long >= 4 * short and long * short * short >= 2**19
+
+
+def _decided(s: np.ndarray, slack: float, tau: float) -> bool:
+    """Whether each value in ``s``, known to within ``slack``, is certainly
+    above or certainly not above ``tau`` times the largest."""
+    return s[0] > 0.0 and bool(
+        np.all(np.abs(s - tau * s[0]) > slack * (1.0 + tau))
+    )
+
+
+def _cholesky_qr2(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of range(y) by two CholeskyQR passes (Yamamoto et
+    al. 2015); LinAlgError when y is too ill-conditioned for them."""
+    for _ in range(2):
+        chol = np.linalg.cholesky(y.T @ y)
+        y = y @ np.linalg.inv(chol).T
+    return y
+
+
+def _snapshot_svd(a: np.ndarray, trunc: TruncationPolicy):
+    """Certified method-of-snapshots SVD of ``a``: (u, s, v, residual) or None.
+
+    The eigenvectors of the Gram matrix on the short side (Sirovich 1987)
+    with eigenvalues above ``_GRAM_CUT`` of the largest are lifted through
+    ``a`` and orthonormalized by CholeskyQR2 into Q; the SVD of the small
+    Q^T a gives the factors. Forming the Gram matrix squares the condition
+    number, so nothing is trusted until the residual E = a - Q Q^T a,
+    computed directly (a trace difference cancels near 1e-8), passes the
+    a-posteriori check of Halko, Martinsson & Tropp (2011). By Weyl's
+    inequality every singular value of ``a`` beyond those of Q^T a is at
+    most ||E||_F and each of those is within ||E||_F of the exact one, so
+    when no value lies within ||E||_F plus rounding of the policy's
+    threshold, or of DEFAULT_SVD_THRESHOLD, the rank decision and
+    ``numerical_rank()`` are those of the exact spectrum.
+
+    None sends the caller to LAPACK: an invalid policy (LAPACK's path
+    reports it), a shape where the method does not pay, a zero matrix or
+    one too large or small to square safely, an explicit rank beyond the
+    lifted directions, more lifted directions than pay, dropped
+    eigenvalues that already rule the certificate out, a failed Cholesky,
+    or a failed check.
+    """
+    if trunc is None:
+        taus, need = (DEFAULT_SVD_THRESHOLD,), 1
+    elif isinstance(trunc, (bool, np.bool_)):
+        return None
+    elif isinstance(trunc, (int, np.integer)):
+        taus, need = (DEFAULT_SVD_THRESHOLD,), int(trunc)
+    elif isinstance(trunc, (float, np.floating)) and 0.0 < trunc < 1.0:
+        taus, need = (DEFAULT_SVD_THRESHOLD, float(trunc)), 1
+    else:
+        return None
+    if not (_snapshots_pay(a.shape) and need >= 1):
+        return None
+    wide = a.shape[0] < a.shape[1]
+    t = a.T if wide else a
+    n, m = t.shape
+    gram = t.T @ t
+    trace = float(np.trace(gram))
+    # sigma_1^2 <= trace <= m sigma_1^2: in this range the Gram matrix cannot
+    # overflow and the squares of the residual's entries cannot underflow
+    if not 1e-100 < trace < 1e100:
+        return None
+    try:
+        # eigenvalues alone decide the exits below at about half eigh's cost
+        w = np.linalg.eigvalsh(gram)  # ascending
+        k = int(np.count_nonzero(w > _GRAM_CUT * w[-1]))
+        # The lift, CholeskyQR2, Q^T a and the residual cost about 6 n m k
+        # flops: near LAPACK's whole SVD once k passes m / 2 (0.77x at k = m
+        # on 8192 x 59, 1.45x on 2048 x 199).
+        if need > k or 2 * k > m:
+            return None
+        # Eckart-Young: the residual of any rank-k basis is at least the sum
+        # of the m - k smallest exact eigenvalues, each within eta of its
+        # computed value; when that sum already exceeds (tau sigma_1)^2 the
+        # check fails.
+        eta = (n + m) * _EPS * trace
+        tau = min(taus)
+        if np.sum(w[: m - k]) - (m - k) * eta > tau * tau * (w[-1] + eta):
+            return None
+        w, vecs = np.linalg.eigh(gram)
+        top = slice(m - 1, m - k - 1, -1)  # the k largest, descending; k < m
+        q = _cholesky_qr2(t @ (vecs[:, top] / np.sqrt(w[top])))
+    except np.linalg.LinAlgError:
+        return None
+    rounding = (n + m) * _EPS
+    if np.linalg.norm(q.T @ q - np.eye(k)) > rounding:
+        return None
+    b = q.T @ t
+    e = q @ b
+    np.subtract(t, e, out=e)
+    residual = float(np.linalg.norm(e))
+    ub, s, vbt = np.linalg.svd(b, full_matrices=False)
+    # the one 0.0 stands for the m - k singular values that are not listed
+    listed = np.append(s, 0.0)
+    slack = residual + rounding * s[0]
+    if not all(_decided(listed, slack, tau) for tau in taus):
+        return None
+    u, v = q @ ub, vbt.T
+    return (v, s, u, residual) if wide else (u, s, v, residual)
+
+
+def _leading_rows_rank(svd: TruncatedSvd, x: np.ndarray) -> int:
+    """``numerical_rank(x)`` for ``x``, the leading rows of the matrix
+    that ``svd`` factors.
+
+    With U1 the matching rows of ``svd.u``, x = U1 diag(sigma) V^T + E,
+    where ||E||_F is at most the residual of the truncation: ``tail_bound``
+    and the truncated part of ``spectrum``. By Weyl's inequality each
+    singular value of x lies within that residual, plus rounding, of one of
+    U1 diag(sigma), an n x rank matrix. When those values decide the count
+    it is the exact one; otherwise x itself is factored.
+    """
+    n = x.shape[0]
+    s = np.linalg.svd(svd.u[:n] * svd.sigma, compute_uv=False)
+    if s.size < min(x.shape):
+        s = np.append(s, 0.0)
+    residual = math.hypot(
+        svd.tail_bound, float(np.linalg.norm(svd.spectrum[svd.rank:]))
+    )
+    # rounding of the factorization, and of LAPACK's own count on x
+    slack = residual + 2 * (svd.u.shape[0] + svd.v.shape[0]) * _EPS * svd.sigma[0]
+    if _decided(s, slack, DEFAULT_SVD_THRESHOLD):
+        return _rank_above(s, DEFAULT_SVD_THRESHOLD)
+    return numerical_rank(x)
 
 
 def eig(a, max_dim: int = 2048) -> EigenDecomposition:

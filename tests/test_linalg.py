@@ -1,12 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import dmdc.linalg as linalg
 from dmdc import (
     DegenerateMatrixError,
     InvalidInputError,
     NumericalFailureError,
     ShapeError,
+    add_noise,
     eig,
+    gen_sparse_fourier,
     numerical_rank,
     truncated_svd,
 )
@@ -147,3 +154,135 @@ def test_numerical_rank():
         numerical_rank(np.array([[np.nan]]), 1e-10)
     with pytest.raises(InvalidInputError):
         numerical_rank(np.eye(2), 2.0)
+
+
+def _record_svd_shapes(monkeypatch) -> list:
+    """Make np.linalg.svd record the shape of each input it factors."""
+    shapes = []
+    lapack_svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+def _with_spectrum(sigma, n, m, seed):
+    """An n x m matrix with singular values ``sigma`` and zeros beyond."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, len(sigma))))
+    v, _ = np.linalg.qr(rng.standard_normal((m, len(sigma))))
+    return (u * sigma) @ v.T
+
+
+def test_example3_snapshots_certified_without_factoring_x(monkeypatch):
+    x = gen_sparse_fourier(grid=64, n_modes=5, m=60, seed=4).x  # 4096 x 59
+    ref = np.linalg.svd(x, compute_uv=False)
+    shapes = _record_svd_shapes(monkeypatch)
+    f = truncated_svd(x)
+    # the only SVD is of the small Q^T X, 10 x 59; X itself is never factored
+    assert shapes == [(10, 59)]
+    assert f.rank == f.numerical_rank() == 10
+    np.testing.assert_allclose(f.spectrum, ref[:10], rtol=0, atol=1e-12 * ref[0])
+    assert 0.0 < f.tail_bound <= 1e-10 * ref[0]
+    # a threshold the unlisted singular values could reach is refused
+    with pytest.raises(InvalidInputError):
+        f.numerical_rank(0.5 * f.tail_bound / f.spectrum[0])
+
+
+def test_smooth_decay_through_the_threshold_takes_lapack(monkeypatch):
+    n, m = 2000, 60
+    sigma = np.concatenate([[1.0, 0.7, 0.4], np.logspace(-6, -12, m - 3)])
+    a = _with_spectrum(sigma, n, m, seed=17)
+    ref = np.linalg.svd(a, compute_uv=False)
+    shapes = _record_svd_shapes(monkeypatch)
+    for trunc in (None, 1e-8):
+        f = truncated_svd(a, trunc)
+        tau = 1e-10 if trunc is None else trunc
+        assert f.rank == np.count_nonzero(ref / ref[0] > tau)
+        assert f.spectrum.size == m and f.tail_bound == 0.0
+    assert shapes.count((n, m)) == 2
+
+
+def test_fallback_exits_before_the_lift(monkeypatch):
+    def no_lift(y):
+        raise AssertionError("lifted although the certificate cannot pass")
+
+    monkeypatch.setattr(linalg, "_cholesky_qr2", no_lift)
+    # noise 1e-3 of RMS puts every direction above the Gram cut, more than pay
+    ds = gen_sparse_fourier(grid=64, n_modes=5, m=60, seed=4)
+    noisy = add_noise(ds, sigma=1e-3 * np.sqrt(np.mean(ds.x**2)), seed=5).x
+    # a tail at 5e-7, under the cut, whose Gram eigenvalues outweigh rounding
+    tail = _with_spectrum(np.r_[1.0, 0.5, 0.3, np.full(57, 5e-7)], 400, 60, seed=8)
+    for a, trunc in ((noisy, None), (noisy, 10), (tail, None)):
+        assert linalg._snapshots_pay(a.shape)
+        s = np.linalg.svd(a, compute_uv=False)
+        f = truncated_svd(a, trunc)
+        assert f.spectrum.size == min(a.shape)
+        assert f.rank == (trunc or np.count_nonzero(s / s[0] > 1e-10))
+
+
+@st.composite
+def _spectra_and_policies(draw):
+    short = draw(st.integers(1, 12))
+    long = draw(st.integers(short, 48))
+    n, m = draw(st.sampled_from([(long, short), (short, short), (short, long)]))
+    rank = draw(st.integers(0, short))
+    exponents = draw(st.lists(st.floats(-4.0, 0.0), min_size=rank, max_size=rank))
+    scale = 10.0 ** draw(st.integers(-60, 60))
+    sigma = scale * np.sort(10.0 ** np.array(exponents, dtype=float))[::-1]
+    a = _with_spectrum(sigma, n, m, seed=draw(st.integers(0, 2**32 - 1)))
+    trunc = draw(st.one_of(
+        st.none(),
+        st.integers(1, max(rank, 1)),
+        st.floats(1e-12, 0.999),
+        st.sampled_from([-1, 0, short + 1, 0.0, 1.0, 1.5, True]),
+        # a threshold exactly at a singular value ratio: no margin at all
+        st.integers(0, max(rank - 1, 0)).map(
+            lambda j: float(sigma[j] / sigma[0]) if rank else None
+        ),
+    ))
+    return a, trunc
+
+
+def _svd_or_error(a, trunc, snapshots: bool):
+    with mock.patch.object(linalg, "_snapshots_pay", lambda shape: snapshots):
+        try:
+            return truncated_svd(a, trunc)
+        except (DegenerateMatrixError, InvalidInputError) as exc:
+            return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_spectra_and_policies(), data=st.data())
+def test_certified_svd_matches_lapack_property(case, data):
+    a, trunc = case
+    # every shape tries the method of snapshots, against LAPACK alone
+    got = _svd_or_error(a, trunc, snapshots=True)
+    ref = _svd_or_error(a, trunc, snapshots=False)
+    if isinstance(ref, type):
+        assert got is ref
+        return
+    assert not isinstance(got, type), got
+    certified = got.spectrum.size < min(a.shape)
+    n, m = a.shape
+    orientation = "tall" if n > m else "wide" if n < m else "square"
+    path = "certified" if certified else "LAPACK"
+    event(f"{path} {orientation} {type(trunc).__name__}")
+    s = np.linalg.svd(a, compute_uv=False)
+    k = got.rank
+    assert k == ref.rank
+    np.testing.assert_allclose(got.sigma, ref.sigma, rtol=0, atol=1e-12 * s[0])
+    assert np.linalg.norm(got.u.T @ got.u - np.eye(k)) <= 1e-13
+    assert np.linalg.norm(got.v.T @ got.v - np.eye(k)) <= 1e-13
+    bound = np.sqrt(np.sum(s[k:] ** 2)) + 1e-9 * s[0]
+    assert np.linalg.norm(a - got.reconstruct(), "fro") <= bound
+    for j in range(k):
+        assert got.u[np.argmax(np.abs(got.u[:, j])), j] >= 0.0
+    for tau in (1e-10, 1e-6):
+        assert got.numerical_rank(tau) == numerical_rank(a, tau)
+    # the rank of a leading row block, as the unknown-B fit counts rank(X)
+    rows = data.draw(st.integers(1, a.shape[0]))
+    assert linalg._leading_rows_rank(got, a[:rows]) == numerical_rank(a[:rows])
