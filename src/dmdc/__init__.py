@@ -8,7 +8,6 @@ frequency-domain comparison.
 
 from .dmd import (
     DmdcModel,
-    DmdModel,
     dmd_fit,
     exact_modes,
     split_trajectory,
@@ -73,7 +72,6 @@ __all__ = [
     "ActuationSpec",
     "DegenerateMatrixError",
     "DivergenceError",
-    "DmdModel",
     "DmdcError",
     "DmdcModel",
     "EigenDecomposition",

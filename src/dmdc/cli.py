@@ -17,7 +17,7 @@ import numpy as np
 from . import io as dio
 from .dmd import dmd_fit, split_trajectory
 from .dmdc import dmdc_fit_known_b, dmdc_fit_unknown_b
-from .errors import DmdcError, FormatError, SchemaError, ShapeError, UsageError
+from .errors import DmdcError, FormatError, ShapeError, UsageError
 from .linalg import DEFAULT_SVD_THRESHOLD
 from .rom import (
     DEFAULT_FREQ_COUNT,
@@ -30,7 +30,7 @@ from .rom import (
     realize,
     realize_truth,
 )
-from .synth import ActuationSpec, gen_example1, gen_example2, gen_sparse_fourier
+from .synth import gen_example1, gen_example2, gen_sparse_fourier
 
 EXIT_OK = 0
 
@@ -40,18 +40,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _digest(path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _read_matrix(path, transpose: bool = False) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise FormatError(f"{path}: no such file")
     if path.suffix == ".bin":
         m = dio.read_matrix_bin(path)
-        return m.T.copy() if transpose else m
-    return dio.read_matrix_csv(path, transpose=transpose)
+    else:
+        m = dio.read_matrix_csv(path)
+    return m.T.copy() if transpose else m
+
+
+def _read_input(inputs: dict, key: str, path, transpose: bool = False) -> np.ndarray:
+    """Read the matrix file at ``path`` and record its sha256 as ``inputs[key]``."""
+    m = _read_matrix(path, transpose)
+    inputs[key] = "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return m
 
 
 def _fmt_row(values) -> str:
@@ -153,9 +157,6 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--m", type=int, default=None, help="snapshot count")
     p_synth.add_argument("--dt", type=float, default=1.0)
-    p_synth.add_argument("--x0", default="4,7", help="example 1 initial state")
-    p_synth.add_argument("--k-gain", type=float, default=-1.0,
-                         help="example 1 feedback gain")
     p_synth.add_argument("--n", type=int, default=5, help="example 2 state dim")
     p_synth.add_argument("--l", type=int, default=2, help="example 2 input dim")
     p_synth.add_argument("--q", type=int, default=100, help="example 2 output dim")
@@ -203,18 +204,16 @@ def _cmd_fit(args) -> int:
     if args.traj is not None:
         if args.x is not None or args.xp is not None:
             raise UsageError("--traj excludes --x/--xp")
-        x, xp = split_trajectory(_read_matrix(args.traj, args.transpose_input))
-        inputs["traj"] = _digest(args.traj)
+        traj = _read_input(inputs, "traj", args.traj, args.transpose_input)
+        x, xp = split_trajectory(traj)
     else:
         if args.x is None or args.xp is None:
             raise UsageError("need --traj or both --x and --xp")
-        x = _read_matrix(args.x, args.transpose_input)
-        xp = _read_matrix(args.xp, args.transpose_input)
-        inputs["x"] = _digest(args.x)
-        inputs["xp"] = _digest(args.xp)
+        x = _read_input(inputs, "x", args.x, args.transpose_input)
+        xp = _read_input(inputs, "xp", args.xp, args.transpose_input)
     model = dmd_fit(x, xp, trunc, args.dt)
     out = _write_fit(args, model, inputs, {"r": trunc})
-    print(f"fit: rank {model.rank}, wrote {out / 'model.json'}")
+    print(f"fit: rank {model.output_rank}, wrote {out / 'model.json'}")
     return EXIT_OK
 
 
@@ -232,14 +231,13 @@ def _cmd_fitc(args) -> int:
         raise UsageError(
             f"--rank-p ({args.rank_p}) must be >= --rank-r ({args.rank_r})"
         )
-    x = _read_matrix(args.x, args.transpose_input)
-    xp = _read_matrix(args.xp, args.transpose_input)
-    ups = _read_matrix(args.u, args.transpose_input)
-    inputs = {"x": _digest(args.x), "xp": _digest(args.xp), "u": _digest(args.u)}
+    inputs = {}
+    x = _read_input(inputs, "x", args.x, args.transpose_input)
+    xp = _read_input(inputs, "xp", args.xp, args.transpose_input)
+    ups = _read_input(inputs, "u", args.u, args.transpose_input)
     report = None
     if known_b:
-        b = _read_matrix(args.b_matrix)
-        inputs["b"] = _digest(args.b_matrix)
+        b = _read_input(inputs, "b", args.b_matrix)
         model = dmdc_fit_known_b(x, xp, ups, b, trunc_r, args.dt)
     else:
         model, report = dmdc_fit_unknown_b(x, xp, ups, trunc_p, trunc_r, args.dt)
@@ -262,18 +260,10 @@ def _cmd_fitc(args) -> int:
     return EXIT_OK
 
 
-def _parse_x0(text: str) -> np.ndarray:
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise UsageError(f"--x0 must be comma-separated numbers, got {text!r}") from None
-    return np.array(vals)
-
-
 def _cmd_synth(args) -> int:
     if args.example == 1:
         m = args.m if args.m is not None else 5
-        ds = gen_example1(x0=_parse_x0(args.x0), k_gain=args.k_gain, m=m, dt=args.dt)
+        ds = gen_example1(m=m, dt=args.dt)
         binary = False
     elif args.example == 2:
         m = args.m if args.m is not None else 101
@@ -285,11 +275,7 @@ def _cmd_synth(args) -> int:
         m = args.m if args.m is not None else 60
         act = None
         if args.actuation is not None:
-            spec = dio.read_json_object(args.actuation, "actuation spec")
-            try:
-                act = ActuationSpec.from_dict(spec)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(f"{args.actuation}: bad actuation spec: {exc}") from None
+            act = dio.read_actuation_spec(args.actuation)
         ds = gen_sparse_fourier(
             grid=args.grid, n_modes=args.modes, m=m, seed=args.seed,
             actuation=act, dt=args.dt,

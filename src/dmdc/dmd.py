@@ -58,10 +58,6 @@ class DmdcModel:
     input_map: np.ndarray = field(repr=False)
 
     @property
-    def rank(self) -> int:
-        return self.output_rank
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         return self.eigen.values
 
@@ -77,9 +73,6 @@ class DmdcModel:
     def full_input_map(self) -> np.ndarray:
         """The n x l input map estimate (n x 0 for plain DMD)."""
         return self.input_map
-
-
-DmdModel = DmdcModel
 
 
 def split_trajectory(traj) -> tuple[np.ndarray, np.ndarray]:

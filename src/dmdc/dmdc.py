@@ -39,15 +39,20 @@ class IdentifiabilityReport:
     collinearity_flag: bool
 
 
+def _checked_upsilon(x: np.ndarray, upsilon) -> np.ndarray:
+    """``upsilon`` as a matrix with one column per column of ``x``."""
+    ups = as_matrix(upsilon, "upsilon", allow_zero_rows=True)
+    if ups.shape[1] != x.shape[1]:
+        raise ShapeError(
+            f"column mismatch: x has {x.shape[1]}, upsilon has {ups.shape[1]}"
+        )
+    return ups
+
+
 def stack_omega(x, upsilon) -> np.ndarray:
     """Vertically stack state and control snapshots into one data matrix."""
     x = as_matrix(x, "x")
-    u = as_matrix(upsilon, "upsilon", allow_zero_rows=True)
-    if x.shape[1] != u.shape[1]:
-        raise ShapeError(
-            f"column mismatch: x has {x.shape[1]}, upsilon has {u.shape[1]}"
-        )
-    return np.vstack([x, u])
+    return np.vstack([x, _checked_upsilon(x, upsilon)])
 
 
 def dmdc_fit_known_b(
@@ -60,14 +65,10 @@ def dmdc_fit_known_b(
     exactly.
     """
     x, xp, dt = _checked_pair(x, xp, dt)
-    ups = as_matrix(upsilon, "upsilon", allow_zero_rows=True)
+    ups = _checked_upsilon(x, upsilon)
     if np.ndim(b) == 1:
         b = np.asarray(b, dtype=np.float64).reshape(-1, 1)
     b = as_matrix(b, "b", allow_zero_rows=True)
-    if ups.shape[1] != x.shape[1]:
-        raise ShapeError(
-            f"column mismatch: x has {x.shape[1]}, upsilon has {ups.shape[1]}"
-        )
     if b.shape != (x.shape[0], ups.shape[0]):
         raise ShapeError(
             f"b is {b.shape}, expected ({x.shape[0]}, {ups.shape[0]})"
@@ -103,10 +104,10 @@ def dmdc_fit_unknown_b(
     model but raises the report's flag.
     """
     x, xp, dt = _checked_pair(x, xp, dt)
-    ups = as_matrix(upsilon, "upsilon", allow_zero_rows=True)
+    ups = _checked_upsilon(x, upsilon)
     n, l = x.shape[0], ups.shape[0]
 
-    svd_p = truncated_svd(stack_omega(x, ups), trunc_p)
+    svd_p = truncated_svd(np.vstack([x, ups]), trunc_p)
     svd_r = truncated_svd(xp, trunc_r)
     if trunc_r is None:
         svd_r = _slice_svd(svd_r, svd_p.rank)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidInputError, LengthError, ParseError, SchemaError
 from .linalg import as_matrix
-from .synth import GroundTruth
+from .synth import ActuationSpec, GroundTruth
 
 BIN_MAGIC = b"DMDCMAT1"
 MODEL_KINDS = ("dmd", "dmdc-known-b", "dmdc-unknown-b")
@@ -89,7 +89,7 @@ def write_matrix_csv(m, path) -> None:
     write_text_atomic(path, lines + "\n")
 
 
-def read_matrix_csv(path, transpose: bool = False) -> np.ndarray:
+def read_matrix_csv(path) -> np.ndarray:
     """Read a CSV matrix; rows are state entries, columns snapshots.
 
     Raises FormatError for ragged rows (with the line number) and
@@ -104,7 +104,7 @@ def read_matrix_csv(path, transpose: bool = False) -> np.ndarray:
     a = _loadtxt(text, lines)
     if a is None:
         a = _parse_cells(lines, path)
-    return a.T.copy() if transpose else a
+    return a
 
 
 def _loadtxt(text: str, lines: list[str]) -> np.ndarray | None:
@@ -197,6 +197,28 @@ def _as_float(v, where: str) -> float:
         return float(v)
     except OverflowError:
         raise SchemaError(f"{where}: integer overflows a float") from None
+
+
+def read_actuation_spec(path) -> ActuationSpec:
+    """Read an actuation spec: one JSON object with the optional keys
+    ``center`` (null or [x, y]), ``width`` and ``amplitude``.
+
+    Raises SchemaError for any other key and for a value that is not a
+    number (a bool or a string included). A non-finite number is read as
+    is; ``gen_sparse_fourier`` rejects it.
+    """
+    doc = read_json_object(path, "actuation spec")
+    where = f"{path}: bad actuation spec"
+    unknown = sorted(doc.keys() - {"center", "width", "amplitude"})
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {unknown}")
+    spec = {k: _as_float(v, f"{where}: {k}") for k, v in doc.items() if k != "center"}
+    center = doc.get("center")
+    if center is not None:
+        if not (isinstance(center, list) and len(center) == 2):
+            raise SchemaError(f"{where}: center must be null or [x, y], got {center!r}")
+        spec["center"] = tuple(_as_float(c, f"{where}: center") for c in center)
+    return ActuationSpec(**spec)
 
 
 def _dec_real(v, where: str) -> float:

@@ -23,6 +23,7 @@ from .errors import (
 )
 
 DEFAULT_SVD_THRESHOLD = 1e-10
+EIG_MAX_DIM = 2048
 _EPS = float(np.finfo(np.float64).eps)
 # Gram eigenvalues at or below this fraction of the largest are not lifted
 # (singular values below 1e-6 of the largest). Rounding moves the Gram
@@ -126,11 +127,11 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def _resolve_rank(sigma: np.ndarray, trunc: TruncationPolicy, max_rank: int) -> int:
-    if sigma[0] <= 0.0:
-        raise DegenerateMatrixError("matrix has no positive singular value")
+def _decode_policy(trunc: TruncationPolicy, max_rank: int) -> tuple[int | None, float]:
+    """``trunc`` as (explicit rank or None, relative threshold); an explicit
+    rank keeps the default threshold. InvalidInputError if ``trunc`` is invalid."""
     if trunc is None:
-        trunc = DEFAULT_SVD_THRESHOLD
+        return None, DEFAULT_SVD_THRESHOLD
     if isinstance(trunc, (bool, np.bool_)):
         raise InvalidInputError(f"invalid truncation policy {trunc!r}")
     if isinstance(trunc, (int, np.integer)):
@@ -139,15 +140,26 @@ def _resolve_rank(sigma: np.ndarray, trunc: TruncationPolicy, max_rank: int) -> 
             raise InvalidInputError(
                 f"explicit rank {k} outside [1, {max_rank}]"
             )
-        # singular values at rounding-noise level are zeros of the exact input
-        if sigma[k - 1] <= 1e-14 * sigma[0]:
-            raise DegenerateMatrixError(
-                f"requested rank {k} exceeds the positive spectrum"
-            )
-        return k
+        return k, DEFAULT_SVD_THRESHOLD
     if isinstance(trunc, (float, np.floating)):
-        return _rank_above(sigma, float(trunc))
+        tau = float(trunc)
+        if not 0.0 < tau < 1.0:
+            raise InvalidInputError(f"relative threshold {tau} outside (0, 1)")
+        return None, tau
     raise InvalidInputError(f"invalid truncation policy {trunc!r}")
+
+
+def _resolve_rank(sigma: np.ndarray, rank: int | None, tau: float) -> int:
+    if sigma[0] <= 0.0:
+        raise DegenerateMatrixError("matrix has no positive singular value")
+    if rank is None:
+        return _rank_above(sigma, tau)
+    # singular values at rounding-noise level are zeros of the exact input
+    if sigma[rank - 1] <= 1e-14 * sigma[0]:
+        raise DegenerateMatrixError(
+            f"requested rank {rank} exceeds the positive spectrum"
+        )
+    return rank
 
 
 def _rank_above(sigma: np.ndarray, tau: float) -> int:
@@ -168,19 +180,21 @@ def truncated_svd(m, trunc: TruncationPolicy = None) -> TruncatedSvd:
         Finite real matrix.
     trunc : int, float or None
         Explicit rank, relative threshold in (0, 1), or None for the
-        default threshold of 1e-10.
+        default threshold of 1e-10. An invalid policy raises
+        InvalidInputError before any factorization.
 
     A tall or wide ``m`` is first factored by the certified method of
     snapshots (``_snapshot_svd``); without a certificate the factors come
     from LAPACK. Ranks, errors and the sign rule are the same either way.
     """
     a = as_matrix(m, "svd input")
-    factors = _snapshot_svd(a, trunc)
+    rank, tau = _decode_policy(trunc, min(a.shape))
+    factors = _snapshot_svd(a, rank, tau)
     if factors is None:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
         factors = u, s, vh.T, 0.0
     u, s, v, tail = factors
-    k = _resolve_rank(s, trunc, min(a.shape))
+    k = _resolve_rank(s, rank, tau)
     u, v = u[:, :k].copy(), v[:, :k].copy()
     # Flip coupled column pairs so each u column's dominant entry is >= 0.
     for j in range(k):
@@ -223,7 +237,7 @@ def _cholesky_qr2(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _snapshot_svd(a: np.ndarray, trunc: TruncationPolicy):
+def _snapshot_svd(a: np.ndarray, rank: int | None, tau: float):
     """Certified method-of-snapshots SVD of ``a``: (u, s, v, residual) or None.
 
     The eigenvectors of the Gram matrix on the short side (Sirovich 1987)
@@ -236,28 +250,18 @@ def _snapshot_svd(a: np.ndarray, trunc: TruncationPolicy):
     inequality every singular value of ``a`` beyond those of Q^T a is at
     most ||E||_F and each of those is within ||E||_F of the exact one, so
     when no value lies within ||E||_F plus rounding of the policy's
-    threshold, or of DEFAULT_SVD_THRESHOLD, the rank decision and
+    threshold ``tau``, or of DEFAULT_SVD_THRESHOLD, the rank decision and
     ``numerical_rank()`` are those of the exact spectrum.
 
-    None sends the caller to LAPACK: an invalid policy (LAPACK's path
-    reports it), a shape where the method does not pay, a zero matrix or
-    one too large or small to square safely, an explicit rank beyond the
-    lifted directions, more lifted directions than pay, dropped
-    eigenvalues that already rule the certificate out, a failed Cholesky,
-    or a failed check.
+    None sends the caller to LAPACK: a shape where the method does not pay,
+    a zero matrix or one too large or small to square safely, an explicit
+    rank beyond the lifted directions, more lifted directions than pay,
+    dropped eigenvalues that already rule the certificate out, a failed
+    Cholesky, or a failed check.
     """
-    if trunc is None:
-        taus, need = (DEFAULT_SVD_THRESHOLD,), 1
-    elif isinstance(trunc, (bool, np.bool_)):
+    if not _snapshots_pay(a.shape):
         return None
-    elif isinstance(trunc, (int, np.integer)):
-        taus, need = (DEFAULT_SVD_THRESHOLD,), int(trunc)
-    elif isinstance(trunc, (float, np.floating)) and 0.0 < trunc < 1.0:
-        taus, need = (DEFAULT_SVD_THRESHOLD, float(trunc)), 1
-    else:
-        return None
-    if not (_snapshots_pay(a.shape) and need >= 1):
-        return None
+    taus, need = {DEFAULT_SVD_THRESHOLD, tau}, rank or 1
     wide = a.shape[0] < a.shape[1]
     t = a.T if wide else a
     n, m = t.shape
@@ -278,11 +282,11 @@ def _snapshot_svd(a: np.ndarray, trunc: TruncationPolicy):
             return None
         # Eckart-Young: the residual of any rank-k basis is at least the sum
         # of the m - k smallest exact eigenvalues, each within eta of its
-        # computed value; when that sum already exceeds (tau sigma_1)^2 the
-        # check fails.
+        # computed value; when that sum already exceeds (low sigma_1)^2, with
+        # low the smaller of the two thresholds, the check fails.
         eta = (n + m) * _EPS * trace
-        tau = min(taus)
-        if np.sum(w[: m - k]) - (m - k) * eta > tau * tau * (w[-1] + eta):
+        low = min(taus)
+        if np.sum(w[: m - k]) - (m - k) * eta > low * low * (w[-1] + eta):
             return None
         w, vecs = np.linalg.eigh(gram)
         top = slice(m - 1, m - k - 1, -1)  # the k largest, descending; k < m
@@ -300,7 +304,7 @@ def _snapshot_svd(a: np.ndarray, trunc: TruncationPolicy):
     # the one 0.0 stands for the m - k singular values that are not listed
     listed = np.append(s, 0.0)
     slack = residual + rounding * s[0]
-    if not all(_decided(listed, slack, tau) for tau in taus):
+    if not all(_decided(listed, slack, t) for t in taus):
         return None
     u, v = q @ ub, vbt.T
     return (v, s, u, residual) if wide else (u, s, v, residual)
@@ -331,20 +335,20 @@ def _leading_rows_rank(svd: TruncatedSvd, x: np.ndarray) -> int:
     return numerical_rank(x)
 
 
-def eig(a, max_dim: int = 2048) -> EigenDecomposition:
+def eig(a) -> EigenDecomposition:
     """Eigendecomposition of a square real or complex matrix.
 
     Eigenvalues are returned in descending magnitude, ties broken by
     descending real then imaginary part; eigenvector columns are unit norm
-    and reordered to match. Raises NumericalFailureError if the QR
-    iteration does not converge.
+    and reordered to match. Raises InvalidInputError above ``EIG_MAX_DIM``
+    and NumericalFailureError if the QR iteration does not converge.
     """
     m = np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"eig requires a square matrix, got shape {m.shape}")
-    if m.shape[0] > max_dim:
+    if m.shape[0] > EIG_MAX_DIM:
         raise InvalidInputError(
-            f"matrix dimension {m.shape[0]} exceeds the eig cap {max_dim}"
+            f"matrix dimension {m.shape[0]} exceeds the eig cap {EIG_MAX_DIM}"
         )
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("eig input contains non-finite entries")

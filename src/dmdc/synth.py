@@ -20,7 +20,6 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
     NumericalFailureError,
-    SchemaError,
 )
 from .linalg import eig
 from .rom import StateSpaceRealization
@@ -72,27 +71,6 @@ class ActuationSpec:
     center: tuple[float, float] | None = None
     width: float = 5.0
     amplitude: float = -1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "center": None if self.center is None else list(self.center),
-            "width": float(self.width),
-            "amplitude": float(self.amplitude),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActuationSpec":
-        if not isinstance(d, dict):
-            raise SchemaError(f"expected an object, got {type(d).__name__}")
-        center = d.get("center")
-        pair = isinstance(center, (list, tuple)) and len(center) == 2
-        if center is not None and not pair:
-            raise SchemaError(f"center must be null or [x, y], got {center!r}")
-        return cls(
-            center=None if center is None else (float(center[0]), float(center[1])),
-            width=float(d.get("width", 5.0)),
-            amplitude=float(d.get("amplitude", -1.0)),
-        )
 
 
 EXAMPLE1_A = np.array([[1.5, 0.0], [0.0, 0.1]])
@@ -317,7 +295,7 @@ def gen_sparse_fourier(
         raise InsufficientDataError(f"need m >= 2 snapshots, got {m}")
     act = actuation if actuation is not None else ActuationSpec()
     if not np.all(np.isfinite([act.width, act.amplitude, *(act.center or ())])):
-        raise InvalidConfigError(f"actuation spec must be finite, got {act.to_dict()}")
+        raise InvalidConfigError(f"actuation spec must be finite, got {act}")
     if act.width <= 0.0:
         raise InvalidConfigError(f"actuation width must be positive, got {act.width}")
 

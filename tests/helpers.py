@@ -96,7 +96,7 @@ def transfer_singular_values(ss: StateSpaceRealization, omega: float) -> np.ndar
     return np.linalg.svd(ss.c @ resolvent, compute_uv=False)
 
 
-def read_matrix_csv_per_cell(path, transpose: bool = False) -> np.ndarray:
+def read_matrix_csv_per_cell(path) -> np.ndarray:
     """Read a CSV matrix; rows are state entries, columns snapshots.
 
     Oracle for ``dmdc.io.read_matrix_csv``: the per-cell parser alone, with
@@ -129,5 +129,4 @@ def read_matrix_csv_per_cell(path, transpose: bool = False) -> np.ndarray:
                 raise ParseError(f"{path}: line {i}, column {j}: non-finite value")
             row.append(v)
         rows.append(row)
-    a = np.array(rows, dtype=np.float64)
-    return a.T.copy() if transpose else a
+    return np.array(rows, dtype=np.float64)

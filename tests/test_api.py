@@ -1,7 +1,7 @@
 """The public surface: what ``from dmdc import *`` promises."""
 import dmdc
 
-REMOVED = ("transfer_singular_values", "normalized_modes")
+REMOVED = ("transfer_singular_values", "normalized_modes", "DmdModel")
 
 
 def test_all_names_resolve_once():
@@ -18,3 +18,10 @@ def test_removed_names_are_gone():
         assert name not in dmdc.__all__
         assert not hasattr(dmdc, name)
         assert not hasattr(dmdc.rom, name) and not hasattr(dmdc.dmd, name)
+
+
+def test_removed_members_are_gone():
+    # DmdcModel.output_rank is the one name for r; io reads actuation specs
+    assert not hasattr(dmdc.DmdcModel, "rank")
+    for name in ("to_dict", "from_dict"):
+        assert not hasattr(dmdc.ActuationSpec, name)

@@ -327,6 +327,9 @@ def test_synth_with_actuation_spec_file(tmp_path):
         ('{"width": NaN}', 1), ('{"amplitude": Infinity}', 1),
         ('{"center": [NaN, 4.0]}', 1), ('{"center": [4.0, -Infinity]}', 1),
         ('{"width": 1' + "0" * 400 + "}", 2),
+        # a mistyped key, a bool and a string are schema errors, never defaults
+        ('{"widht": 2.0}', 2), ('{"amplitude": true}', 2), ('{"width": "3"}', 2),
+        ('{"center": [4.0, "4"]}', 2), ('{"center": [true, 4.0]}', 2),
     ):
         bad.write_text(text)
         assert main([
@@ -350,6 +353,15 @@ def test_fit_transpose_input(tmp_path):
     ]) == 0
     res = np.sort(_table_floats(out / "eigenvalues.csv", "re"))
     np.testing.assert_allclose(res, [0.3, 0.8], atol=1e-8)
+    # the binary format is transposed the same way
+    dio.write_matrix_bin(traj.T, tmp_path / "rows_are_snapshots.bin")
+    out_bin = tmp_path / "fit_bin"
+    assert main([
+        "fit", "--traj", str(tmp_path / "rows_are_snapshots.bin"),
+        "--transpose-input", "--out", str(out_bin),
+    ]) == 0
+    table = "eigenvalues.csv"
+    assert (out_bin / table).read_bytes() == (out / table).read_bytes()
 
 
 def test_compare_two_models_freqresp(tmp_path, capsys):

@@ -47,7 +47,7 @@ def test_split_example1_trajectory():
 def test_constant_trajectory_single_unit_eigenvalue():
     traj = np.ones((2, 6))
     model = dmd_fit(*split_trajectory(traj))
-    assert model.rank == 1
+    assert model.output_rank == 1
     np.testing.assert_allclose(model.eigenvalues, [1.0], rtol=1e-12)
 
 
@@ -134,7 +134,7 @@ def test_reduced_spectrum_equals_nonzero_full_spectrum():
     x = p @ rng.standard_normal((5, 20))
     xp = a @ x
     model = dmd_fit(x, xp)
-    assert model.rank == 5
+    assert model.output_rank == 5
     full = np.linalg.eigvals(lstsq_operator(x, xp))
     nonzero = full[np.abs(full) > 1e-10]
     assert spectral_distance(model.eigenvalues, nonzero) <= 1e-8

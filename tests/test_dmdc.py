@@ -3,7 +3,6 @@ import pytest
 
 from dmdc import (
     DmdcModel,
-    DmdModel,
     InvalidConfigError,
     InvalidInputError,
     ShapeError,
@@ -119,7 +118,6 @@ def test_unknown_b_example1_collinear():
 
 
 def test_one_model_type_for_all_fits():
-    assert DmdModel is DmdcModel
     rng = np.random.default_rng(43)
     a, _ = random_diagonalizable(rng, 4)
     b = rng.standard_normal((4, 2))
@@ -136,7 +134,7 @@ def test_one_model_type_for_all_fits():
         n, r = model.basis.shape
         assert type(model) is DmdcModel
         assert model.kind == kind
-        assert model.rank == model.output_rank == r
+        assert model.output_rank == r
         assert model.b_tilde.shape == (r, l)
         assert model.full_input_map().shape == (n, l)
     np.testing.assert_array_equal(fits[1][2].full_input_map(), b)

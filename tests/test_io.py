@@ -61,12 +61,6 @@ def test_csv_round_trip_random_bitwise(tmp_path):
     np.testing.assert_array_equal(dio.read_matrix_csv(p), m)
 
 
-def test_csv_transpose_flag(tmp_path):
-    p = tmp_path / "t.csv"
-    dio.write_matrix_csv(np.array([[1.0, 2.0, 3.0]]), p)
-    assert dio.read_matrix_csv(p, transpose=True).shape == (3, 1)
-
-
 def test_csv_ragged_row_reports_line(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("1,2\n3,4,5\n")
@@ -654,9 +648,8 @@ _CSV_TEXTS = _csv_of_matrix() | st.lists(
 @given(
     text=_CSV_TEXTS,
     insert=st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(_CSV_TOKENS)),
-    transpose=st.booleans(),
 )
-def test_csv_reader_matches_per_cell_parser(text, insert, transpose):
+def test_csv_reader_matches_per_cell_parser(text, insert):
     if insert is not None:
         at, token = insert[0] % (len(text) + 1), insert[1]
         text = text[:at] + token + text[at:]
@@ -666,7 +659,7 @@ def test_csv_reader_matches_per_cell_parser(text, insert, transpose):
         outcomes = []
         for reader in (dio.read_matrix_csv, read_matrix_csv_per_cell):
             try:
-                a = reader(p, transpose=transpose)
+                a = reader(p)
             except DmdcError as exc:
                 outcomes.append((type(exc), str(exc)))
             else:

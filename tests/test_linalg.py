@@ -89,6 +89,22 @@ def test_svd_input_errors():
         truncated_svd(np.array([[1.0, 2.0], [2.0, 4.0]]), 2)
 
 
+def test_invalid_policy_fails_before_any_factorization():
+    def factor(*args, **kwargs):
+        raise AssertionError("factored a matrix under an invalid policy")
+
+    tall = np.random.default_rng(5).standard_normal((2048, 16))
+    assert linalg._snapshots_pay(tall.shape)
+    with (
+        mock.patch.object(np.linalg, "svd", factor),
+        mock.patch.object(np.linalg, "eigvalsh", factor),
+    ):
+        for a in (tall, np.eye(3), np.zeros((2, 2))):
+            for trunc in (True, 0, 1.5, "x", min(a.shape) + 1):
+                with pytest.raises(InvalidInputError):
+                    truncated_svd(a, trunc)
+
+
 def test_eig_diagonal():
     d = eig(np.diag([1.5, 0.1]))
     np.testing.assert_allclose(d.values, [1.5, 0.1], rtol=1e-14)
@@ -138,7 +154,8 @@ def test_eig_errors():
     with pytest.raises(ShapeError):
         eig(np.ones((2, 3)))
     with pytest.raises(InvalidInputError):
-        eig(np.eye(5), max_dim=4)
+        # a read-only view of one zero: the cap is checked before any work
+        eig(np.broadcast_to(0.0, (linalg.EIG_MAX_DIM + 1,) * 2))
     with pytest.raises(InvalidInputError):
         eig(np.array([[np.inf]]))
     # NumericalFailureError is reserved for LAPACK non-convergence, which

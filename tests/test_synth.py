@@ -18,6 +18,7 @@ from dmdc import (
     gen_sparse_fourier,
     spectral_distance,
 )
+from dmdc import io as dio
 from helpers import EX1_A, EX1_B, EX1_UPS, EX1_X, EX1_XP
 
 
@@ -191,11 +192,14 @@ def test_sparse_fourier_validation():
                            actuation=ActuationSpec(width=0.0))
 
 
-def test_actuation_spec_round_trip():
+def test_actuation_spec_round_trip(tmp_path):
+    p = tmp_path / "act.json"
     spec = ActuationSpec(center=(10.0, 20.0), width=3.0, amplitude=-2.0)
-    assert ActuationSpec.from_dict(spec.to_dict()) == spec
-    default = ActuationSpec()
-    assert ActuationSpec.from_dict(default.to_dict()) == default
+    p.write_text('{"center": [10, 20.0], "width": 3, "amplitude": -2.0}')
+    assert dio.read_actuation_spec(p) == spec
+    for text in ("{}", '{"center": null}'):
+        p.write_text(text)
+        assert dio.read_actuation_spec(p) == ActuationSpec()
 
 
 def test_add_noise_zero_sigma_identity():
