@@ -40,21 +40,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_matrix(path, transpose: bool = False) -> np.ndarray:
+def _read_matrix(path, transpose: bool = False) -> tuple[np.ndarray, bytes]:
+    """The matrix in the file at ``path`` and the bytes it was parsed from."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"{path}: no such file")
+    data = path.read_bytes()
     if path.suffix == ".bin":
-        m = dio.read_matrix_bin(path)
+        m = dio.read_matrix_bin(path, data)
     else:
-        m = dio.read_matrix_csv(path)
-    return m.T.copy() if transpose else m
+        m = dio.read_matrix_csv(path, data)
+    return (m.T.copy() if transpose else m), data
 
 
 def _read_input(inputs: dict, key: str, path, transpose: bool = False) -> np.ndarray:
-    """Read the matrix file at ``path`` and record its sha256 as ``inputs[key]``."""
-    m = _read_matrix(path, transpose)
-    inputs[key] = "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Read the matrix file at ``path`` and record the sha256 of the bytes
+    parsed as ``inputs[key]``."""
+    m, data = _read_matrix(path, transpose)
+    inputs[key] = "sha256:" + hashlib.sha256(data).hexdigest()
     return m
 
 
@@ -397,7 +400,9 @@ def _cmd_freqresp(args) -> int:
         if not (args.a and args.b and args.c):
             raise UsageError("need --model or all of --a, --b, --c")
         ss = StateSpaceRealization(
-            a=_read_matrix(args.a), b=_read_matrix(args.b), c=_read_matrix(args.c)
+            a=_read_matrix(args.a)[0],
+            b=_read_matrix(args.b)[0],
+            c=_read_matrix(args.c)[0],
         )
     curve = frequency_response(ss, _omega_grid(args), on_singular="mark")
     k = curve.sigmas.shape[1]

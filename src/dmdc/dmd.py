@@ -21,9 +21,9 @@ from .errors import (
 from .linalg import (
     EigenDecomposition,
     TruncationPolicy,
+    _truncated_svd,
     as_matrix,
     eig,
-    truncated_svd,
 )
 
 ZERO_EIGENVALUE_TOL = 1e-12
@@ -128,7 +128,7 @@ def _fit_projected(x, target, b, trunc: TruncationPolicy, dt: float, kind: str):
     plain DMD. lift = target V inv(Sigma) is the left operator factor and
     maps reduced eigenvectors to full-dimension modes.
     """
-    svd = truncated_svd(x, trunc)
+    svd = _truncated_svd(x, trunc)
     lift = target @ (svd.v / svd.sigma)
     a_tilde = svd.u.T @ lift
     eigen = eig(a_tilde)

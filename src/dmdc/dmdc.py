@@ -19,9 +19,9 @@ from .linalg import (
     TruncatedSvd,
     TruncationPolicy,
     _leading_rows_rank,
+    _truncated_svd,
     as_matrix,
     eig,
-    truncated_svd,
 )
 
 
@@ -107,8 +107,8 @@ def dmdc_fit_unknown_b(
     ups = _checked_upsilon(x, upsilon)
     n, l = x.shape[0], ups.shape[0]
 
-    svd_p = truncated_svd(np.vstack([x, ups]), trunc_p)
-    svd_r = truncated_svd(xp, trunc_r)
+    svd_p = _truncated_svd(np.vstack([x, ups]), trunc_p)
+    svd_r = _truncated_svd(xp, trunc_r)
     if trunc_r is None:
         svd_r = _slice_svd(svd_r, svd_p.rank)
     p, r = svd_p.rank, svd_r.rank

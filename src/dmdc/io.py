@@ -66,6 +66,13 @@ def _read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
+def _decode_text(data: bytes, path) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 def read_json_object(path, what: str) -> dict:
     """Parse a file holding one JSON object.
 
@@ -89,13 +96,19 @@ def write_matrix_csv(m, path) -> None:
     write_text_atomic(path, lines + "\n")
 
 
-def read_matrix_csv(path) -> np.ndarray:
+def read_matrix_csv(path, data: bytes | None = None) -> np.ndarray:
     """Read a CSV matrix; rows are state entries, columns snapshots.
 
-    Raises FormatError for ragged rows (with the line number) and
-    ParseError for cells that are not finite decimals (with coordinates).
+    ``data`` is the file's content when the caller has already read it
+    (to hash the bytes it parses); ``path`` then only names the file in
+    messages. Raises FormatError for ragged rows (with the line number)
+    and ParseError for cells that are not finite decimals (with
+    coordinates).
     """
-    text = _read_text(path)
+    if data is None:
+        data = Path(path).read_bytes()
+    # splitlines() ends a line at \r and \r\n, so no newline translation
+    text = _decode_text(data, path)
     lines = text.splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
@@ -161,9 +174,14 @@ def write_matrix_bin(m, path) -> None:
     _atomic_write_bytes(path, _bin_bytes(m))
 
 
-def read_matrix_bin(path) -> np.ndarray:
-    """Read the binary matrix format written by write_matrix_bin."""
-    return _bin_matrix(Path(path).read_bytes(), path)
+def read_matrix_bin(path, data: bytes | None = None) -> np.ndarray:
+    """Read the binary matrix format written by write_matrix_bin.
+
+    ``data`` is the file's content when the caller has already read it;
+    ``path`` then only names the file in messages. The result is a
+    C-ordered copy.
+    """
+    return _bin_matrix(Path(path).read_bytes() if data is None else data, path)
 
 
 def _bin_matrix(data: bytes, path) -> np.ndarray:

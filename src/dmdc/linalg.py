@@ -187,7 +187,12 @@ def truncated_svd(m, trunc: TruncationPolicy = None) -> TruncatedSvd:
     snapshots (``_snapshot_svd``); without a certificate the factors come
     from LAPACK. Ranks, errors and the sign rule are the same either way.
     """
-    a = as_matrix(m, "svd input")
+    return _truncated_svd(as_matrix(m, "svd input"), trunc)
+
+
+def _truncated_svd(a: np.ndarray, trunc: TruncationPolicy) -> TruncatedSvd:
+    """``truncated_svd`` of ``a``, a matrix that ``as_matrix`` has already
+    checked (the fits check their inputs once, when they take them)."""
     rank, tau = _decode_policy(trunc, min(a.shape))
     factors = _snapshot_svd(a, rank, tau)
     if factors is None:

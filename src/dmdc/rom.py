@@ -4,14 +4,16 @@ A fitted model (projection basis as output map) or a ground truth becomes
 an (A, B, C) triple, so identified and generating systems can be compared
 through simulation or MIMO frequency-response singular values, in
 rad/sample: no sampling interval enters a realization.
+
+scipy is imported inside the two functions that call it, so importing the
+package (and every CLI command that neither compares nor evaluates a
+frequency response) does not pay scipy's import time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import rsf2csf, schur
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     DivergenceError,
@@ -203,6 +205,8 @@ def frequency_response(
         or np.any(w > np.pi + 1e-12)
     ):
         raise InvalidInputError("frequencies must be finite and lie in (0, pi]")
+    from scipy.linalg import rsf2csf, schur
+
     try:
         t, z = schur(ss.a, output="real", check_finite=False)
         t, z = rsf2csf(t, z, check_finite=False)
@@ -258,6 +262,8 @@ def match_eigenvalues(eigs_a, eigs_b) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"spectra differ in size: {a.size} vs {b.size}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InvalidInputError("spectra must be finite")
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(a.size, dtype=int)

@@ -402,6 +402,101 @@ def test_console_entry_subprocess(tmp_path):
     np.testing.assert_array_equal(dio.read_matrix_csv(out / "x.csv"), EX1_X)
 
 
+# Runs in a fresh interpreter: each stage records its exit codes and the
+# scipy modules loaded so far, and the last stdout line is the record.
+_COLD_START = """
+import json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+stages = []
+import dmdc
+stages.append(["import dmdc", [], scipy_modules()])
+from dmdc import cli, io as dio
+stages.append(["import dmdc.cli", [], scipy_modules()])
+d = Path(sys.argv[1])
+ds = d / "ds"
+data = ["--x", str(ds / "x.csv"), "--xp", str(ds / "xp.csv")]
+codes = [cli.main(["synth", "--example", "2", "--out", str(ds)])]
+truth, _ = dio.read_truth(ds / "truth.json")
+dio.write_matrix_csv(truth.b_true, d / "b.csv")
+codes.append(cli.main(["fit", *data, "--out", str(d / "fit")]))
+data += ["--u", str(ds / "upsilon.csv")]
+codes.append(cli.main(["fitc", *data, "--out", str(d / "fitc")]))
+codes.append(cli.main(["fitc", *data, "--b-matrix", str(d / "b.csv"),
+                       "--out", str(d / "fitc_b")]))
+stages.append(["synth, fit, fitc", codes, scipy_modules()])
+model = str(d / "fitc" / "model.json")
+codes = [cli.main(["freqresp", "--model", model, "--out", str(d / "fr")])]
+codes.append(cli.main(["compare", "--model", model, "--truth", str(ds / "truth.json"),
+                       "--freqresp", "--out", str(d / "cmp")]))
+stages.append(["freqresp, compare", codes, scipy_modules()])
+print(json.dumps(stages))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_freqresp_and_compare(tmp_path):
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    assert [label for label, _, _ in stages] == [
+        "import dmdc", "import dmdc.cli", "synth, fit, fitc", "freqresp, compare",
+    ]
+    for label, codes, scipy in stages[:3]:
+        assert codes == [0] * len(codes) and scipy == [], label
+    label, codes, scipy = stages[3]
+    assert codes == [0, 0]
+    assert {"scipy.linalg", "scipy.optimize"} <= set(scipy)
+    assert (tmp_path / "fr" / "freqresp.csv").exists()
+    assert (tmp_path / "cmp" / "freq_compare.csv").exists()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+def test_fitc_reads_each_input_once_and_records_its_digest(tmp_path, monkeypatch, suffix):
+    import builtins
+    import hashlib
+    import io
+
+    write = dio.write_matrix_csv if suffix == ".csv" else dio.write_matrix_bin
+    files = {"x": tmp_path / f"x{suffix}", "xp": tmp_path / f"xp{suffix}",
+             "u": tmp_path / "u.csv", "b": tmp_path / "b.csv"}
+    for key, m in (("x", EX1_X), ("xp", EX1_XP)):
+        write(m, files[key])
+    dio.write_matrix_csv(EX1_UPS, files["u"])
+    dio.write_matrix_csv(EX1_B, files["b"])
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append(os.path.realpath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "fitc"
+    assert main(["fitc", "--x", str(files["x"]), "--xp", str(files["xp"]),
+                 "--u", str(files["u"]), "--b-matrix", str(files["b"]),
+                 "--out", str(out)]) == 0
+    monkeypatch.undo()
+    for path in files.values():
+        assert opened.count(os.path.realpath(path)) == 1, path
+    inputs = dio.read_model(out / "model.json").provenance["inputs"]
+    assert inputs == {
+        key: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+        for key, path in files.items()
+    }
+
+
 def _fit_example1_traj(tmp_path):
     dio.write_matrix_csv(EX1_TRAJ, tmp_path / "traj.csv")
     out = tmp_path / "fit"

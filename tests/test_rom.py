@@ -230,7 +230,7 @@ def test_frequency_response_factorization_failure_is_typed(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("schur did not converge")
 
-    monkeypatch.setattr("dmdc.rom.schur", no_convergence)
+    monkeypatch.setattr("scipy.linalg.schur", no_convergence)
     ss = StateSpaceRealization(a=[[0.5]], b=[[1.0]], c=[[1.0]])
     with pytest.raises(NumericalFailureError):
         frequency_response(ss)
