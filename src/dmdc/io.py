@@ -163,10 +163,15 @@ def _parse_cells(lines: list[str], path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _bin_bytes(m) -> bytes:
+def _bin_bytes(m) -> bytearray:
     a = as_matrix(m, "matrix")
-    head = BIN_MAGIC + struct.pack("<QQ", a.shape[0], a.shape[1])
-    return head + a.astype("<f8").tobytes(order="F")
+    rows, cols = a.shape
+    buf = bytearray(24 + 8 * a.size)
+    buf[:24] = BIN_MAGIC + struct.pack("<QQ", rows, cols)
+    # the payload is written once, column-major, straight into the buffer
+    payload = np.frombuffer(buf, dtype="<f8", offset=24)
+    payload.reshape((rows, cols), order="F")[...] = a
+    return buf
 
 
 def write_matrix_bin(m, path) -> None:

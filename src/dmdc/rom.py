@@ -183,9 +183,10 @@ def frequency_response(
     the other frequencies are still evaluated.
 
     A is factored once, A = Z T Z^H (complex Schur form, Laub 1981). Then
-    C (zI - A)^{-1} B = (C Z) (zI - T)^{-1} (Z^H B), and C Z may be replaced
-    by the R factor of its thin QR, which has the same singular values
-    for every z. Each frequency costs one triangular solve, run as a back
+    C (zI - A)^{-1} B = (C Z) (zI - T)^{-1} (Z^H B). With C = Q R its thin
+    QR, C Z = Q (R Z) and Q has orthonormal columns, so R Z may stand in
+    for C Z: the singular values are the same for every z, and the QR is
+    of the real C. Each frequency costs one triangular solve, run as a back
     substitution over the whole grid at once: O(n^3 + F n^2 l) in all,
     with O(F n l) memory.
     """
@@ -220,7 +221,7 @@ def frequency_response(
     if on_singular == "raise" and np.any(singular):
         raise SingularFrequencyError(omega=float(w[np.argmax(singular)]))
     b_hat = z.conj().T @ ss.b
-    c_hat = np.linalg.qr(ss.c @ z, mode="r")
+    c_hat = np.linalg.qr(ss.c, mode="r") @ z
     y = _triangular_resolvent(t, points[~singular], b_hat)
     n, f_ok, l = y.shape
     k = c_hat.shape[0]

@@ -19,12 +19,10 @@ from .errors import (
     InsufficientDataError,
     InvalidConfigError,
     InvalidInputError,
-    NumericalFailureError,
 )
 from .linalg import eig
 from .rom import StateSpaceRealization
 
-REALNESS_TOL = 1e-10
 DENSE_TRUTH_MAX_DIM = 2048
 
 
@@ -249,22 +247,6 @@ def _plane_waves(grid: int, waves: list[tuple[int, int]]) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _field_from_coeffs(
-    coeffs: np.ndarray, waves: list[tuple[int, int]], grid: int
-) -> np.ndarray:
-    spec = np.zeros((grid, grid), dtype=np.complex128)
-    for c, (kx, ky) in zip(coeffs, waves):
-        spec[kx, ky] += c
-        spec[(-kx) % grid, (-ky) % grid] += np.conj(c)
-    field = np.fft.ifft2(spec) * grid * grid
-    residue = float(np.max(np.abs(field.imag))) if field.size else 0.0
-    if residue > REALNESS_TOL:
-        raise NumericalFailureError(
-            f"synthesized field has imaginary residue {residue:.3e}"
-        )
-    return field.real.reshape(-1)
-
-
 def gen_sparse_fourier(
     grid: int = 128,
     n_modes: int = 5,
@@ -278,9 +260,9 @@ def gen_sparse_fourier(
     ``n_modes`` conjugate-symmetric wavevector pairs evolve by discrete
     factors exp((-delta + i omega) dt) with damping delta in [0.005, 0.05]
     and frequency omega in [0.5, 2.0] rad per unit time. The actuation
-    bump, transformed to the Fourier domain, drives the active mode
-    coefficients with a random +-1 signal per step. Snapshots are the real
-    fields flattened to length grid**2.
+    bump, projected onto the active plane waves, drives their coefficients
+    with a random +-1 signal per step. Snapshots are the real fields
+    flattened to length grid**2.
 
     Ground truth records the 2 * n_modes discrete eigenvalues and spatial
     mode shapes; the dense operator is included only while grid**2 stays
@@ -314,7 +296,6 @@ def gen_sparse_fourier(
     mu = np.exp((-delta + 1j * omega) * dt)
     mag = rng.uniform(1.0, 2.0, n_modes)
     phase = rng.uniform(0.0, 2.0 * np.pi, n_modes)
-    coeffs = mag * np.exp(1j * phase)
     signal = rng.integers(0, 2, size=m - 1) * 2.0 - 1.0
 
     cx, cy = act.center if act.center is not None else (grid / 2.0, grid / 2.0)
@@ -323,29 +304,36 @@ def gen_sparse_fourier(
     bump = act.amplitude * np.exp(
         -(np.add.outer(ax**2, ay**2)) / (2.0 * act.width**2)
     )
-    bump_spec = np.fft.fft2(bump) / (grid * grid)
-    beta = np.array([bump_spec[kx % grid, ky % grid] for kx, ky in waves])
 
+    # Every field is 2 Re(W c) for the plane waves W and their
+    # coefficients c; W^H W / n = I recovers c from a field.
     n = grid * grid
-    snaps = np.empty((n, m))
-    c = coeffs.copy()
-    for k in range(m):
-        snaps[:, k] = _field_from_coeffs(c, waves, grid)
-        if k < m - 1:
-            c = mu * c + beta * signal[k]
+    w = _plane_waves(grid, waves)
+    analysis = np.conj(w).T / n
+    beta = analysis @ bump.reshape(-1)
+    coeffs = np.empty((n_modes, m), dtype=np.complex128)
+    coeffs[:, 0] = mag * np.exp(1j * phase)
+    for k in range(m - 1):
+        coeffs[:, k + 1] = mu * coeffs[:, k] + beta * signal[k]
+    # 2 Re(W c) = [Re W, Im W] [2 Re c; -2 Im c], a real product, so no
+    # complex n-by-m array is formed.
+    w_ri = np.hstack([w.real, w.imag])
+
+    def field(c: np.ndarray) -> np.ndarray:
+        return w_ri @ np.concatenate([2.0 * c.real, -2.0 * c.imag])
+
+    snaps = field(coeffs)
+    b_true = field(beta).reshape(-1, 1)
 
     eigs_raw = np.concatenate([mu, np.conj(mu)])
-    modes_fwd = _plane_waves(grid, waves)
-    modes_raw = np.hstack([modes_fwd, np.conj(modes_fwd)])
+    modes_raw = np.hstack([w, np.conj(w)])
     order = np.lexsort((-eigs_raw.imag, -eigs_raw.real, -np.abs(eigs_raw)))
     eigs_true = eigs_raw[order]
     modes_true = modes_raw[:, order]
 
-    b_true = _field_from_coeffs(beta, waves, grid).reshape(-1, 1)
     a_true = None
     if n <= DENSE_TRUTH_MAX_DIM:
-        analysis = np.conj(modes_fwd).T / (grid * grid)
-        a_true = 2.0 * np.real(modes_fwd @ (mu[:, None] * analysis))
+        a_true = 2.0 * np.real(w @ (mu[:, None] * analysis))
     truth = GroundTruth(
         a_true=a_true, b_true=b_true, c_true=None,
         eigs_true=eigs_true, modes_true=modes_true, seed=int(seed),

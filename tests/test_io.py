@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from dmdc import (
     DmdcError,
     FormatError,
+    GroundTruth,
     InvalidInputError,
     LengthError,
     ParseError,
@@ -93,10 +94,38 @@ def test_bin_scalar_file_size(tmp_path):
 
 
 def test_bin_round_trip_snapshot_bitwise(tmp_path):
-    ds = gen_sparse_fourier(grid=16, n_modes=3, m=8, seed=13)
-    p = tmp_path / "snap.bin"
-    dio.write_matrix_bin(ds.x, p)
-    np.testing.assert_array_equal(dio.read_matrix_bin(p), ds.x)
+    # The file is magic, dims and the column-major float64 payload whatever
+    # the array's layout, and reads back as a C-ordered array of its own.
+    rng = np.random.default_rng(29)
+    z = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    layouts = {
+        "snapshot": gen_sparse_fourier(grid=16, n_modes=3, m=8, seed=13).x,
+        "c_order": rng.standard_normal((4, 3)),
+        "f_order": np.asfortranarray(rng.standard_normal((3, 5))),
+        "real_of_complex": np.real(z),
+        "column_slice": rng.standard_normal((4, 7))[:, 1:6:2],
+        "edge_values": np.array([[-0.0, 5e-324], [1.5, -5e-324], [0.0, -0.0]]),
+    }
+    for name, a in layouts.items():
+        payload = a.astype("<f8").tobytes(order="F")
+        expected = dio.BIN_MAGIC + struct.pack("<QQ", *a.shape) + payload
+        p = tmp_path / f"{name}.bin"
+        dio.write_matrix_bin(a, p)
+        assert p.read_bytes() == expected, name
+        back = dio.read_matrix_bin(p)
+        assert back.flags.c_contiguous and back.flags.owndata, name
+        assert back.shape == a.shape and back.tobytes() == a.astype("<f8").tobytes(), name
+        # a sidecar is the same bytes, and its index records their digest
+        truth = GroundTruth(
+            a_true=None, b_true=a, c_true=None,
+            eigs_true=np.array([0.5 + 0.0j]), modes_true=None, seed=0,
+        )
+        dio.write_truth(truth, tmp_path / f"{name}.json")
+        side = tmp_path / f"{name}_b_true.bin"
+        assert side.read_bytes() == expected, name
+        entry = json.loads((tmp_path / f"{name}.json").read_text())["files"]["b_true"]
+        digest = hashlib.sha256(expected).hexdigest()
+        assert entry == {"file": side.name, "sha256": digest}, name
 
 
 def test_bin_corrupted_magic(tmp_path):

@@ -146,6 +146,26 @@ def test_sparse_fourier_consistency_invariant():
     assert np.max(np.abs(resid)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "actuation", [None, ActuationSpec(center=(5.5, 60.0), width=3.0, amplitude=0.8)],
+    ids=["default", "centered"],
+)
+def test_sparse_fourier_obeys_modal_truth(actuation):
+    # Past the dense cap the truth is modal only: the data's coefficients
+    # on modes_true must follow the eigenvalues and the forcing b_true.
+    ds = gen_sparse_fourier(grid=64, n_modes=4, m=40, seed=5, actuation=actuation)
+    assert ds.truth.a_true is None
+    w = ds.truth.modes_true
+    n = w.shape[0]
+    snaps = np.hstack([ds.x, ds.xp[:, -1:]])
+    c = np.conj(w).T @ snaps / n
+    beta = np.conj(w).T @ ds.truth.b_true / n
+    scale = np.max(np.abs(c))
+    step = c[:, 1:] - (ds.truth.eigs_true[:, None] * c[:, :-1] + beta @ ds.upsilon)
+    assert np.max(np.abs(step)) <= 1e-12 * scale
+    assert np.max(np.abs(np.real(w @ c) - snaps)) <= 1e-12 * scale
+
+
 def test_sparse_fourier_dense_truth_cap():
     ds = gen_sparse_fourier(grid=64, n_modes=3, m=6, seed=1)
     assert ds.truth.a_true is None  # 4096 states exceeds the dense cap
