@@ -16,7 +16,6 @@ from .dmdc import (
     IdentifiabilityReport,
     dmdc_fit_known_b,
     dmdc_fit_unknown_b,
-    stack_omega,
 )
 from .errors import (
     DegenerateMatrixError,
@@ -114,6 +113,5 @@ __all__ = [
     "simulate",
     "spectral_distance",
     "split_trajectory",
-    "stack_omega",
     "truncated_svd",
 ]

@@ -2,8 +2,9 @@
 
 The fit regresses the one-step map through a truncated SVD of the snapshot
 matrix and exposes the reduced operator, its spectrum, and the dynamic
-modes lifted back to full state dimension. Its model type is the one the
-DMDc fits return: DMD is DMDc with zero inputs.
+modes lifted back to full state dimension. DMD is DMDc with zero inputs:
+one regression, ``_regress``, builds the model of every fit, this one and
+the two in ``dmdc``, and one type, ``DmdcModel``, holds it.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .errors import (
 )
 from .linalg import (
     EigenDecomposition,
+    TruncatedSvd,
     TruncationPolicy,
     _truncated_svd,
     as_matrix,
@@ -120,30 +122,37 @@ def _checked_pair(x, xp, dt) -> tuple[np.ndarray, np.ndarray, float]:
     return x, xp, dt
 
 
-def _fit_projected(x, target, b, trunc: TruncationPolicy, dt: float, kind: str):
-    """Shared regression core of DMD and known-B DMDc.
+def _regress(svd: TruncatedSvd, target, basis, b, kind: str, dt: float) -> DmdcModel:
+    """The one regression of every fit: G = ``target`` V inv(Sigma).
 
-    Regresses ``target`` (X', less B Upsilon when B is known) on the
-    truncated SVD of ``x``; ``b`` is the known n x l input map, n x 0 for
-    plain DMD. lift = target V inv(Sigma) is the left operator factor and
-    maps reduced eigenvectors to full-dimension modes.
+    ``svd`` factors the regressor: X, or [X; U] when the n x l input map
+    ``b`` is unknown (None). With U1, U2 the state and input rows of U,
+    A = G U1^T and B = G U2^T (n x 0 for DMD) or ``b``. On ``basis``,
+    A~ = P M with P = basis^T G and M = U1^T basis; modes lift through G M.
     """
-    svd = _truncated_svd(x, trunc)
-    lift = target @ (svd.v / svd.sigma)
-    a_tilde = svd.u.T @ lift
+    n = target.shape[0]
+    g = target @ (svd.v / svd.sigma)
+    u1, u2 = svd.u[:n], svd.u[n:]
+    m = u1.T @ basis
+    proj = basis.T @ g
+    a_tilde = proj @ m
     eigen = eig(a_tilde)
+    if b is None:
+        b_tilde, b = proj @ u2.T, g @ u2.T
+    else:
+        b_tilde = basis.T @ b
     return DmdcModel(
         kind=kind,
         a_tilde=a_tilde,
-        b_tilde=svd.u.T @ b,
-        basis=svd.u,
+        b_tilde=b_tilde,
+        basis=basis,
         eigen=eigen,
-        modes=exact_modes(eigen, lift, svd.u),
+        modes=exact_modes(eigen, g @ m, basis),
         input_rank=svd.rank,
-        output_rank=svd.rank,
+        output_rank=basis.shape[1],
         dt=dt,
-        op_left=lift,
-        op_right=svd.u.T,
+        op_left=g,
+        op_right=u1.T,
         input_map=b,
     )
 
@@ -155,4 +164,5 @@ def dmd_fit(x, xp, trunc: TruncationPolicy = None, dt: float = 1.0) -> DmdcModel
     full state rank, the eigenvalues of ``a_tilde`` equal those of A.
     """
     x, xp, dt = _checked_pair(x, xp, dt)
-    return _fit_projected(x, xp, np.zeros((x.shape[0], 0)), trunc, dt, "dmd")
+    svd = _truncated_svd(x, trunc)
+    return _regress(svd, xp, svd.u, None, "dmd", dt)

@@ -1,27 +1,26 @@
 """DMD with control: disambiguate internal dynamics from actuation.
 
-Both estimators return the model type of ``dmd_fit``. When the input map
-B is known, the control contribution is subtracted and the regression
-reduces to plain DMD on corrected targets. When B is unknown, state and
-control snapshots are stacked and a pair of SVDs (input space at rank p,
-output space at rank r) jointly recovers reduced operators for both A
-and B.
+Both estimators run the regression of ``dmd_fit`` and return its model
+type. When the input map B is known, the control contribution is
+subtracted and the regression is plain DMD on corrected targets. When B is
+unknown, state and control snapshots are stacked into Omega = [X; U] and
+the same regression on Omega's SVD (input space, rank p), reduced onto the
+leading left singular vectors of X' (output space, rank r), recovers
+reduced operators for both A and B.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import DmdcModel, _checked_pair, _fit_projected, exact_modes
+from .dmd import DmdcModel, _checked_pair, _regress
 from .errors import ShapeError, TruncationOrderError
 from .linalg import (
-    TruncatedSvd,
     TruncationPolicy,
     _leading_rows_rank,
     _truncated_svd,
     as_matrix,
-    eig,
 )
 
 
@@ -49,12 +48,6 @@ def _checked_upsilon(x: np.ndarray, upsilon) -> np.ndarray:
     return ups
 
 
-def stack_omega(x, upsilon) -> np.ndarray:
-    """Vertically stack state and control snapshots into one data matrix."""
-    x = as_matrix(x, "x")
-    return np.vstack([x, _checked_upsilon(x, upsilon)])
-
-
 def dmdc_fit_known_b(
     x, xp, upsilon, b, trunc: TruncationPolicy = None, dt: float = 1.0
 ) -> DmdcModel:
@@ -73,16 +66,8 @@ def dmdc_fit_known_b(
         raise ShapeError(
             f"b is {b.shape}, expected ({x.shape[0]}, {ups.shape[0]})"
         )
-    return _fit_projected(x, xp - b @ ups, b, trunc, dt, "dmdc-known-b")
-
-
-def _slice_svd(svd: TruncatedSvd, k: int) -> TruncatedSvd:
-    if k >= svd.rank:
-        return svd
-    return replace(
-        svd, u=svd.u[:, :k].copy(), sigma=svd.sigma[:k].copy(),
-        v=svd.v[:, :k].copy(), rank=k,
-    )
+    svd = _truncated_svd(x, trunc)
+    return _regress(svd, xp - b @ ups, svd.u, b, "dmdc-known-b", dt)
 
 
 def dmdc_fit_unknown_b(
@@ -105,46 +90,21 @@ def dmdc_fit_unknown_b(
     """
     x, xp, dt = _checked_pair(x, xp, dt)
     ups = _checked_upsilon(x, upsilon)
-    n, l = x.shape[0], ups.shape[0]
-
     svd_p = _truncated_svd(np.vstack([x, ups]), trunc_p)
     svd_r = _truncated_svd(xp, trunc_r)
-    if trunc_r is None:
-        svd_r = _slice_svd(svd_r, svd_p.rank)
-    p, r = svd_p.rank, svd_r.rank
+    p = svd_p.rank
+    r = svd_r.rank if trunc_r is not None else min(svd_r.rank, p)
     if p < r:
         raise TruncationOrderError(
             f"input-space rank p={p} must be >= output-space rank r={r}"
         )
-
-    u1 = svd_p.u[:n, :]
-    u2 = svd_p.u[n:, :]
-    xvs = xp @ (svd_p.v / svd_p.sigma)
-    proj = svd_r.u.T @ xvs
-    a_tilde = proj @ (u1.T @ svd_r.u)
-    b_tilde = proj @ u2.T
-    eigen = eig(a_tilde)
-    modes = exact_modes(eigen, xvs @ (u1.T @ svd_r.u), svd_r.u)
+    model = _regress(svd_p, xp, svd_r.u[:, :r], None, "dmdc-unknown-b", dt)
 
     omega_rank = svd_p.numerical_rank()
-    required = _leading_rows_rank(svd_p, x) + l
+    required = _leading_rows_rank(svd_p, x) + ups.shape[0]
     report = IdentifiabilityReport(
         omega_rank=omega_rank,
         required_rank=required,
         collinearity_flag=omega_rank < required,
-    )
-    model = DmdcModel(
-        kind="dmdc-unknown-b",
-        a_tilde=a_tilde,
-        b_tilde=b_tilde,
-        basis=svd_r.u,
-        eigen=eigen,
-        modes=modes,
-        input_rank=p,
-        output_rank=r,
-        dt=dt,
-        op_left=xvs,
-        op_right=u1.T,
-        input_map=xvs @ u2.T,
     )
     return model, report

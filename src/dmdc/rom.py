@@ -146,6 +146,11 @@ def simulate(ss: StateSpaceRealization, x0, u_seq=None, horizon=None) -> np.ndar
     if u_seq is None:
         if horizon is None:
             raise InvalidInputError("need u_seq or horizon")
+        integral = isinstance(horizon, (int, np.integer))
+        if isinstance(horizon, bool) or not (integral and horizon >= 1):
+            raise InvalidInputError(
+                f"horizon must be an integer >= 1, got {horizon!r}"
+            )
         u = np.zeros((ss.n_inputs, int(horizon)))
     else:
         u = as_matrix(u_seq, "u_seq", allow_zero_rows=True)
@@ -154,8 +159,6 @@ def simulate(ss: StateSpaceRealization, x0, u_seq=None, horizon=None) -> np.ndar
                 f"u_seq has {u.shape[0]} rows, expected {ss.n_inputs}"
             )
     steps = u.shape[1]
-    if steps < 1:
-        raise InvalidInputError("horizon must be at least 1")
     out = np.empty((ss.n_outputs, steps))
     for k in range(steps):
         x = ss.a @ x + ss.b @ u[:, k]

@@ -194,9 +194,14 @@ def gen_example2(
 
     The latent n-state system is observed through the orthonormal map C,
     so the measured data obeys the effective operators (C A C^T, C B);
-    those are what the ground truth records. Starts from the origin.
+    those are what the ground truth records. Starts from the origin. That
+    needs C^T C = I, so q < n raises InvalidConfigError.
     """
     dt = _checked_dt(dt)
+    if q < n:
+        raise InvalidConfigError(
+            f"need q >= n channels for the data to obey C A C^T, got n={n} q={q}"
+        )
     real, _ = gen_random_stable_ss(n, l, q, seed)
     ups = gen_random_inputs(l, m, seed + 1)
     states = np.zeros((n, m))
@@ -238,13 +243,17 @@ def _conjugate_classes(grid: int, kmax: int) -> list[tuple[int, int]]:
 
 
 def _plane_waves(grid: int, waves: list[tuple[int, int]]) -> np.ndarray:
-    """Columns e^{2 pi i (kx ix + ky iy) / N}, flattened row-major."""
+    """Columns e^{2 pi i (kx ix + ky iy) / N}, flattened row-major.
+
+    Each column is the outer product of two length-N exponentials, read
+    off the table of N-th roots of unity at k i mod N.
+    """
     ix = np.arange(grid)
-    cols = []
-    for kx, ky in waves:
-        phase = np.add.outer(kx * ix, ky * ix) * (2j * np.pi / grid)
-        cols.append(np.exp(phase).reshape(-1))
-    return np.column_stack(cols)
+    roots = np.exp(ix * (2j * np.pi / grid))
+    return np.column_stack([
+        np.outer(roots[kx * ix % grid], roots[ky * ix % grid]).reshape(-1)
+        for kx, ky in waves
+    ])
 
 
 def gen_sparse_fourier(

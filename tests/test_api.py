@@ -1,7 +1,9 @@
 """The public surface: what ``from dmdc import *`` promises."""
 import dmdc
 
-REMOVED = ("transfer_singular_values", "normalized_modes", "DmdModel")
+REMOVED = (
+    "transfer_singular_values", "normalized_modes", "DmdModel", "stack_omega"
+)
 
 
 def test_all_names_resolve_once():
@@ -17,7 +19,8 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in dmdc.__all__
         assert not hasattr(dmdc, name)
-        assert not hasattr(dmdc.rom, name) and not hasattr(dmdc.dmd, name)
+        for module in (dmdc.rom, dmdc.dmd, dmdc.dmdc):
+            assert not hasattr(module, name)
 
 
 def test_removed_members_are_gone():

@@ -61,6 +61,12 @@ def test_synth_invalid_params_is_usage_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert "power of two" in capsys.readouterr().err
+    out = tmp_path / "q"
+    code = main(["synth", "--example", "2", "--n", "5", "--q", "3",
+                 "--out", str(out)])
+    assert code == 1
+    assert "q >= n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_trajectory_eigen_table(tmp_path):

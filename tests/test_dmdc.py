@@ -10,10 +10,11 @@ from dmdc import (
     dmd_fit,
     dmdc_fit_known_b,
     dmdc_fit_unknown_b,
+    gen_example1,
+    gen_example2,
     gen_random_stable_ss,
     gen_sparse_fourier,
     spectral_distance,
-    stack_omega,
 )
 from helpers import (
     EX1_A,
@@ -33,28 +34,6 @@ SCALAR_U = np.array([1.0, -1.0, 1.0])
 RICH_X = np.array([1.0, 1.5, -0.25, 0.875])
 RICH_XP = np.array([1.5, -0.25, 0.875, 2.4375])
 RICH_U = np.array([1.0, -1.0, 1.0, 2.0])
-
-
-def test_stack_omega_definition():
-    np.testing.assert_array_equal(
-        stack_omega([[1.0, 2.0]], [[3.0, 4.0]]), [[1.0, 2.0], [3.0, 4.0]]
-    )
-
-
-def test_stack_omega_zero_rows_is_identity():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(stack_omega(x, np.zeros((0, 2))), x)
-
-
-def test_stack_omega_example1_feedback_row():
-    omega = stack_omega(EX1_X, EX1_UPS)
-    assert omega.shape == (3, 4)
-    np.testing.assert_array_equal(omega[2], -omega[0])
-
-
-def test_stack_omega_column_mismatch():
-    with pytest.raises(ShapeError):
-        stack_omega(np.ones((2, 3)), np.ones((1, 4)))
 
 
 def test_known_b_recovers_example1():
@@ -190,6 +169,26 @@ def test_unknown_b_zero_control_reduction():
     assert np.linalg.norm(model.b_tilde, "fro") <= 1e-10
     plain = dmd_fit(x, xp)
     assert spectral_distance(model.eigenvalues, plain.eigenvalues) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "make",
+    [gen_example1, gen_example2, lambda: gen_sparse_fourier(grid=32, seed=5)],
+    ids=["example1", "example2", "grid32"],
+)
+def test_unknown_b_without_inputs_is_dmd(make):
+    # with no input rows Omega is X, so both fits regress X' on the same SVD
+    ds = make()
+    n, m = ds.x.shape
+    model, report = dmdc_fit_unknown_b(ds.x, ds.xp, np.zeros((0, m)))
+    plain = dmd_fit(ds.x, ds.xp)
+    assert model.b_tilde.shape == (model.output_rank, 0)
+    assert model.full_input_map().shape == (n, 0)
+    assert not report.collinearity_flag
+    if n <= 500:
+        np.testing.assert_array_equal(model.full_operator(), plain.full_operator())
+    assert model.eigenvalues.shape == plain.eigenvalues.shape
+    assert spectral_distance(model.eigenvalues, plain.eigenvalues) <= 1e-12
 
 
 def test_one_step_consistency_forced():

@@ -96,6 +96,12 @@ def test_simulate_validation():
         simulate(ss, [1.0], np.ones((2, 3)))
     with pytest.raises(InvalidInputError):
         simulate(ss, [1.0])
+    for bad in (-1, 0, 2.5, 3.0, True):
+        with pytest.raises(InvalidInputError, match="horizon"):
+            simulate(ss, [1.0], horizon=bad)
+    assert simulate(ss, [1.0], horizon=np.int64(2)).shape == (1, 2)
+    with pytest.raises(ShapeError):  # inputs need at least one column
+        simulate(ss, [1.0], np.ones((1, 0)))
 
 
 def test_frequency_response_pure_delay():

@@ -19,6 +19,7 @@ from dmdc import (
     spectral_distance,
 )
 from dmdc import io as dio
+from dmdc.synth import _plane_waves
 from helpers import EX1_A, EX1_B, EX1_UPS, EX1_X, EX1_XP
 
 
@@ -114,6 +115,12 @@ def test_example2_effective_consistency():
     full = np.linalg.eigvals(ds.truth.a_true)
     for lam in ds.truth.eigs_true:
         assert np.min(np.abs(full - lam)) <= 1e-10
+    # fewer channels than states: C C^T = I does not give C^T C = I, so
+    # C A C^T is not the operator the data obey
+    with pytest.raises(InvalidConfigError, match="q >= n"):
+        gen_example2(n=5, q=3)
+    real, _ = gen_random_stable_ss(5, 1, q=3)  # a realization may have q < n
+    assert real.c.shape == (3, 5)
 
 
 def test_sparse_fourier_shapes_and_spectrum():
@@ -164,6 +171,24 @@ def test_sparse_fourier_obeys_modal_truth(actuation):
     step = c[:, 1:] - (ds.truth.eigs_true[:, None] * c[:, :-1] + beta @ ds.upsilon)
     assert np.max(np.abs(step)) <= 1e-12 * scale
     assert np.max(np.abs(np.real(w @ c) - snaps)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("grid", [16, 128])
+def test_plane_waves_match_direct_exponential(grid):
+    # the reference evaluates e^{2 pi i (kx ix + ky iy) / N} on the whole
+    # grid; its phase reaches 4 pi N, so its own rounding is ~ 4 pi N eps
+    waves = [(1, 0), (0, 3), (grid - 1, 2), (5, grid - 6)]
+    ix = np.arange(grid)
+    want = np.column_stack([
+        np.exp(np.add.outer(kx * ix, ky * ix) * (2j * np.pi / grid)).reshape(-1)
+        for kx, ky in waves
+    ])
+    got = _plane_waves(grid, waves)
+    assert np.max(np.abs(got - want)) <= 16 * np.pi * grid * np.finfo(float).eps
+    # example 3 reads coefficients off a field as W^H field / n
+    gram = np.conj(got).T @ got / (grid * grid)
+    np.testing.assert_allclose(gram, np.eye(len(waves)), rtol=0,
+                               atol=8 * np.finfo(float).eps)
 
 
 def test_sparse_fourier_dense_truth_cap():
