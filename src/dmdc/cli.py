@@ -313,17 +313,26 @@ def _cmd_compare(args) -> int:
     if (args.truth is None) == (args.model2 is None):
         raise UsageError("need exactly one of --truth or --model2")
     record = dio.read_model(args.model)
-    ref_modes = None
     if args.truth is not None:
         truth, _ = dio.read_truth(args.truth)
         ref_eigs = truth.eigs_true
         ref_modes = truth.modes_true
         ref_label = "truth"
+        # the measured dimension: C's rows, else the operator's, else the modes'
+        measured = next((m for m in (truth.c_true, truth.a_true, truth.modes_true)
+                         if m is not None), None)
+        ref_dim = None if measured is None else measured.shape[0]
     else:
         record2 = dio.read_model(args.model2)
         ref_eigs = record2.eigenvalues
         ref_modes = record2.modes
         ref_label = "model2"
+        ref_dim = record2.basis.shape[0]
+    if ref_dim is not None and record.basis.shape[0] != ref_dim:
+        raise ShapeError(
+            f"state dimensions differ: model has {record.basis.shape[0]}, "
+            f"{ref_label} has {ref_dim}"
+        )
     if record.eigenvalues.shape[0] != np.asarray(ref_eigs).shape[0]:
         raise ShapeError(
             f"eigenvalue counts differ: model has {record.eigenvalues.shape[0]}, "
@@ -331,14 +340,8 @@ def _cmd_compare(args) -> int:
         )
     perm, dists = match_eigenvalues(record.eigenvalues, ref_eigs)
     sims = None
-    if (
-        ref_modes is not None
-        and record.modes.shape[0] == np.asarray(ref_modes).shape[0]
-        and record.modes.shape[1] == np.asarray(ref_modes).shape[1]
-    ):
-        sims = mode_cosine_similarities(
-            record.modes, np.asarray(ref_modes)[:, perm]
-        )
+    if ref_modes is not None:
+        sims = mode_cosine_similarities(record.modes, ref_modes[:, perm])
     if args.freqresp:
         omegas = _omega_grid(args)
         ss_a = _record_realization(record)

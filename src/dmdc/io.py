@@ -506,7 +506,10 @@ def read_truth(path) -> tuple[GroundTruth, float]:
 
     Besides the sidecar errors of ``read_model``, raises SchemaError for a
     bad dt, sidecars that disagree on the state dimension (a non-square
-    ``a_true`` included) and modes that disagree with the eigenvalues.
+    ``a_true`` included), modes that disagree with the eigenvalues, and an
+    ``a_true`` whose order is not the eigenvalue count: older versions
+    stored a dense operator at the measurement dimension, and such files
+    must be regenerated with ``synth``.
     """
     path = Path(path)
     doc = read_json_object(path, "truth")
@@ -543,4 +546,8 @@ def read_truth(path) -> tuple[GroundTruth, float]:
     if modes is not None and modes.shape[1] != truth.eigs_true.size:
         raise SchemaError(f"{path}: modes_true has {modes.shape[1]} columns for "
                           f"{truth.eigs_true.size} eigenvalues")
+    if a is not None and a.shape[0] != truth.eigs_true.size:
+        raise SchemaError(f"{path}: a_true has order {a.shape[0]} for "
+                          f"{truth.eigs_true.size} eigenvalues; a truth from an "
+                          "older version must be regenerated with synth")
     return truth, dt

@@ -97,8 +97,9 @@ def realize(model) -> StateSpaceRealization:
 
 
 def realize_truth(truth) -> StateSpaceRealization:
-    """Build an (A, B, C) realization of a ground truth: its dense
-    ``a_true`` (C = I unless it has a ``c_true``), else its modal one."""
+    """Build an (A, B, C) realization of a ground truth: its minimal
+    (``a_true``, ``b_true``, ``c_true``) when it has an ``a_true`` (C = I
+    without a ``c_true``), else its modal one."""
     if truth.b_true is None:
         raise SchemaError("truth document carries no input map")
     if truth.a_true is not None:
@@ -107,7 +108,7 @@ def realize_truth(truth) -> StateSpaceRealization:
             c = np.eye(truth.a_true.shape[0])
         return StateSpaceRealization(a=truth.a_true, b=truth.b_true, c=c)
     if truth.modes_true is None:
-        raise SchemaError("truth document carries neither a dense operator nor modes")
+        raise SchemaError("truth document carries neither a_true nor modes")
     return _modal_realization(truth)
 
 

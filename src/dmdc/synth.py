@@ -23,17 +23,17 @@ from .errors import (
 from .linalg import eig
 from .rom import StateSpaceRealization
 
-DENSE_TRUTH_MAX_DIM = 2048
-
 
 @dataclass(frozen=True)
 class GroundTruth:
     """The generating system behind a synthetic dataset.
 
-    ``a_true`` and ``b_true`` are the operators the data actually obeys
-    (None when the state dimension makes a dense operator impractical);
-    ``eigs_true`` and ``modes_true`` always carry the spectrum and, when
-    meaningful, the spatial mode shapes.
+    A truth with an ``a_true`` is the minimal realization x = C z,
+    z' = a_true z + b_true u: its order equals the number of ``eigs_true``,
+    and ``c_true`` (orthonormal columns; None means I) maps it to the
+    measurements. A truth without one is modal: ``modes_true`` carries the
+    spatial mode shapes of ``eigs_true``, and ``b_true`` is the input map
+    on the full measured state.
     """
 
     a_true: np.ndarray | None
@@ -48,7 +48,9 @@ class GroundTruth:
 class SynthDataset:
     """Snapshot triple (x, xp, upsilon) plus the truth that generated it.
 
-    Noiseless datasets satisfy xp = a_true x + b_true upsilon columnwise.
+    Noiseless datasets satisfy xp = C a_true C^T x + C b_true upsilon
+    columnwise, with C = c_true (or I); a modal truth has no a_true and
+    its data follow modes_true and eigs_true instead.
     """
 
     x: np.ndarray
@@ -193,31 +195,21 @@ def gen_example2(
     """Measured snapshots of a random stable system driven by random inputs.
 
     The latent n-state system is observed through the orthonormal map C,
-    so the measured data obeys the effective operators (C A C^T, C B);
-    those are what the ground truth records. Starts from the origin. That
-    needs C^T C = I, so q < n raises InvalidConfigError.
+    and the ground truth records that latent (A, B, C); the measured data
+    obeys x' = C A C^T x + C B u. Starts from the origin. That needs
+    C^T C = I, so q < n raises InvalidConfigError.
     """
     dt = _checked_dt(dt)
     if q < n:
         raise InvalidConfigError(
             f"need q >= n channels for the data to obey C A C^T, got n={n} q={q}"
         )
-    real, _ = gen_random_stable_ss(n, l, q, seed)
+    real, truth = gen_random_stable_ss(n, l, q, seed)
     ups = gen_random_inputs(l, m, seed + 1)
     states = np.zeros((n, m))
     for k in range(m - 1):
         states[:, k + 1] = real.a @ states[:, k] + real.b @ ups[:, k]
     ys = real.c @ states
-    a_eff = real.c @ real.a @ real.c.T
-    b_eff = real.c @ real.b
-    # eigs_true is the latent spectrum: the nonzero eigenvalues of the
-    # effective operator (its remaining q - n eigenvalues are embedding
-    # zeros with no dynamical meaning)
-    truth = GroundTruth(
-        a_true=a_eff, b_true=b_eff, c_true=None,
-        eigs_true=eig(real.a).values,
-        modes_true=None, seed=int(seed),
-    )
     return SynthDataset(
         x=ys[:, :-1].copy(), xp=ys[:, 1:].copy(),
         upsilon=ups, truth=truth, dt=dt,
@@ -273,9 +265,10 @@ def gen_sparse_fourier(
     with a random +-1 signal per step. Snapshots are the real fields
     flattened to length grid**2.
 
-    Ground truth records the 2 * n_modes discrete eigenvalues and spatial
-    mode shapes; the dense operator is included only while grid**2 stays
-    within DENSE_TRUTH_MAX_DIM.
+    Ground truth is modal at every grid: the 2 * n_modes discrete
+    eigenvalues, their spatial mode shapes and the full-state input map,
+    with no dense operator. ``rom.realize_truth`` builds its order
+    2 * n_modes realization.
     """
     dt = _checked_dt(dt)
     if grid < 4 or grid & (grid - 1) != 0:
@@ -340,11 +333,8 @@ def gen_sparse_fourier(
     eigs_true = eigs_raw[order]
     modes_true = modes_raw[:, order]
 
-    a_true = None
-    if n <= DENSE_TRUTH_MAX_DIM:
-        a_true = 2.0 * np.real(w @ (mu[:, None] * analysis))
     truth = GroundTruth(
-        a_true=a_true, b_true=b_true, c_true=None,
+        a_true=None, b_true=b_true, c_true=None,
         eigs_true=eigs_true, modes_true=modes_true, seed=int(seed),
     )
     return SynthDataset(

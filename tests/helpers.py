@@ -42,6 +42,13 @@ def joint_lstsq_operator(x, xp, ups):
     )
 
 
+def modal_operator(truth) -> np.ndarray:
+    """Dense real operator Re(Phi diag(lambda) pinv(Phi)) of a modal truth,
+    built without the package's realization."""
+    phi = truth.modes_true
+    return np.real((phi * truth.eigs_true) @ np.linalg.pinv(phi))
+
+
 def random_diagonalizable(rng, n, lo=0.2, hi=0.9):
     """Well-conditioned real matrix with distinct real eigenvalues."""
     eigs = np.linspace(lo, hi, n) * rng.choice([-1.0, 1.0], size=n)

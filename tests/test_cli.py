@@ -10,7 +10,7 @@ from dmdc import SchemaError, gen_sparse_fourier, realize_truth
 from dmdc import cli, errors
 from dmdc import io as dio
 from dmdc.cli import main
-from helpers import EX1_B, EX1_TRAJ, EX1_UPS, EX1_X, EX1_XP
+from helpers import EX1_B, EX1_TRAJ, EX1_UPS, EX1_X, EX1_XP, modal_operator
 
 
 def _read_table(path):
@@ -427,7 +427,7 @@ ds = d / "ds"
 data = ["--x", str(ds / "x.csv"), "--xp", str(ds / "xp.csv")]
 codes = [cli.main(["synth", "--example", "2", "--out", str(ds)])]
 truth, _ = dio.read_truth(ds / "truth.json")
-dio.write_matrix_csv(truth.b_true, d / "b.csv")
+dio.write_matrix_csv(truth.c_true @ truth.b_true, d / "b.csv")
 codes.append(cli.main(["fit", *data, "--out", str(d / "fit")]))
 data += ["--u", str(ds / "upsilon.csv")]
 codes.append(cli.main(["fitc", *data, "--out", str(d / "fitc")]))
@@ -573,7 +573,7 @@ def test_example3_grid64_compare_truth_freqresp(tmp_path, capsys):
     assert main(["synth", "--example", "3", "--grid", "64", "--seed", "6",
                  "--out", str(ds_dir)]) == 0
     truth, _ = dio.read_truth(ds_dir / "truth.json")
-    assert truth.a_true is None  # above the dense-truth cap
+    assert truth.a_true is None  # example 3's truth is modal
     assert main(["fitc", "--x", str(ds_dir / "x.bin"),
                  "--xp", str(ds_dir / "xp.bin"),
                  "--u", str(ds_dir / "upsilon.csv"), "--out", str(fit_dir)]) == 0
@@ -587,12 +587,13 @@ def test_example3_grid64_compare_truth_freqresp(tmp_path, capsys):
     assert _table_floats(tmp_path / "cmp" / "freq_compare.csv", "relgap1").max() <= 1e-6
 
 
-def test_example3_grid32_dense_truth_compare_freqresp(tmp_path, capsys):
+def test_example3_grid32_modal_truth_compare_freqresp(tmp_path, capsys):
     ds_dir, fit_dir = tmp_path / "ds", tmp_path / "fitc"
     assert main(["synth", "--example", "3", "--grid", "32", "--seed", "6",
                  "--out", str(ds_dir)]) == 0
     truth, _ = dio.read_truth(ds_dir / "truth.json")
-    assert truth.a_true.shape == (1024, 1024)
+    assert truth.a_true is None
+    assert realize_truth(truth).order == 10  # 2k for the default 5 mode pairs
     assert main(["fitc", "--x", str(ds_dir / "x.bin"),
                  "--xp", str(ds_dir / "xp.bin"),
                  "--u", str(ds_dir / "upsilon.csv"), "--out", str(fit_dir)]) == 0
@@ -624,14 +625,14 @@ def test_outputs_follow_umask(tmp_path):
 
 def test_modal_truth_realization_matches_dense():
     truth = gen_sparse_fourier(grid=32, n_modes=5, m=10, seed=8).truth
-    dense = realize_truth(truth)
-    modal = realize_truth(dataclasses.replace(truth, a_true=None))
+    dense = modal_operator(truth)
+    modal = realize_truth(truth)
     assert modal.order == 10
     np.testing.assert_allclose(modal.c.T @ modal.c, np.eye(10), atol=1e-12)
     lifted = modal.c @ modal.a @ modal.c.T
-    assert np.linalg.norm(lifted - dense.a) <= 1e-10 * np.linalg.norm(dense.a)
+    assert np.linalg.norm(lifted - dense) <= 1e-10 * np.linalg.norm(dense)
     z = np.exp(0.3j)
-    g_dense = np.linalg.solve(z * np.eye(dense.order) - dense.a, dense.b)
+    g_dense = np.linalg.solve(z * np.eye(dense.shape[0]) - dense, truth.b_true)
     g_modal = modal.c @ np.linalg.solve(z * np.eye(modal.order) - modal.a, modal.b)
     assert np.linalg.norm(g_modal - g_dense) <= 1e-10 * np.linalg.norm(g_dense)
 
@@ -640,7 +641,63 @@ def test_modal_truth_rejects_input_map_off_span():
     truth = gen_sparse_fourier(grid=16, n_modes=2, m=6, seed=8).truth
     off = np.ones_like(truth.b_true)  # the constant field is not an active mode
     with pytest.raises(SchemaError, match="span"):
-        realize_truth(dataclasses.replace(truth, a_true=None, b_true=off))
+        realize_truth(dataclasses.replace(truth, b_true=off))
+
+
+def _synth_fitc(tmp_path, name, *example):
+    """Synthesize a dataset and fit it with unknown B; return both paths."""
+    ds, fit = tmp_path / f"{name}_ds", tmp_path / f"{name}_fitc"
+    assert main(["synth", "--example", *example, "--out", str(ds)]) == 0
+    ext = "bin" if example[0] == "3" else "csv"
+    assert main(["fitc", "--x", str(ds / f"x.{ext}"), "--xp", str(ds / f"xp.{ext}"),
+                 "--u", str(ds / "upsilon.csv"), "--out", str(fit)]) == 0
+    return ds, fit / "model.json"
+
+
+def _dense_example2_truth(truth):
+    """The effective (C A C^T, C B) that example 2 used to record."""
+    c = truth.c_true
+    return dataclasses.replace(truth, a_true=c @ truth.a_true @ c.T,
+                               b_true=c @ truth.b_true, c_true=None)
+
+
+def _dense_example3_truth(truth):
+    """The full-grid operator that example 3 used to record next to its modes."""
+    return dataclasses.replace(truth, a_true=modal_operator(truth))
+
+
+@pytest.mark.parametrize("example, make_old", [
+    pytest.param(("2", "--q", "20", "--m", "40"), _dense_example2_truth,
+                 id="example2-effective"),
+    pytest.param(("3", "--grid", "16", "--modes", "3", "--m", "30"),
+                 _dense_example3_truth, id="example3-grid16-dense"),
+])
+def test_compare_rejects_truth_from_older_version(tmp_path, capsys, example, make_old):
+    ds, model = _synth_fitc(tmp_path, "new", *example)
+    truth, dt = dio.read_truth(ds / "truth.json")
+    old = tmp_path / "old" / "truth.json"
+    old.parent.mkdir()
+    dio.write_truth(make_old(truth), old, dt=dt)
+    capsys.readouterr()
+    for ref, code in ((old, 2), (ds / "truth.json", 0)):
+        cmp_out = tmp_path / f"cmp_{code}"
+        assert main(["compare", "--model", str(model), "--truth", str(ref),
+                     "--freqresp", "--out", str(cmp_out)]) == code
+        assert cmp_out.exists() == (code == 0)
+    err = capsys.readouterr().err
+    assert str(old) in err and "regenerate" in err
+
+
+def test_compare_rejects_reference_of_another_state_dimension(tmp_path, capsys):
+    _, model50 = _synth_fitc(tmp_path, "q50", "2", "--q", "50")
+    ds100, model100 = _synth_fitc(tmp_path, "q100", "2", "--q", "100")
+    capsys.readouterr()
+    for ref in (["--truth", str(ds100 / "truth.json")], ["--model2", str(model100)]):
+        cmp_out = tmp_path / "cmp"
+        assert main(["compare", "--model", str(model50), *ref, "--freqresp",
+                     "--out", str(cmp_out)]) == 2
+        assert "state dimensions differ: model has 50" in capsys.readouterr().err
+        assert not cmp_out.exists()
 
 
 # The documented exit code of every error class, written out here so that a

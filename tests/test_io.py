@@ -23,6 +23,8 @@ from dmdc import (
     dmd_fit,
     dmdc_fit_known_b,
     dmdc_fit_unknown_b,
+    gen_example1,
+    gen_example2,
     gen_sparse_fourier,
 )
 from dmdc import io as dio
@@ -267,17 +269,18 @@ def test_model_missing_field_rejected(tmp_path):
 
 
 def test_truth_round_trip(tmp_path):
-    ds = gen_sparse_fourier(grid=16, n_modes=2, m=6, seed=17)
-    p = tmp_path / "truth.json"
-    dio.write_truth(ds.truth, p, dt=ds.dt)
-    back, dt = dio.read_truth(p)
-    assert dt == ds.dt
-    assert back.seed == ds.truth.seed
-    np.testing.assert_array_equal(back.a_true, ds.truth.a_true)
-    np.testing.assert_array_equal(back.b_true, ds.truth.b_true)
-    assert back.c_true is None
-    np.testing.assert_array_equal(back.eigs_true, ds.truth.eigs_true)
-    np.testing.assert_array_equal(back.modes_true, ds.truth.modes_true)
+    for ds in (gen_sparse_fourier(grid=16, n_modes=2, m=6, seed=17),
+               gen_example2(n=3, l=2, q=8, m=10, seed=17, dt=0.5)):
+        p = tmp_path / "truth.json"
+        dio.write_truth(ds.truth, p, dt=ds.dt)
+        back, dt = dio.read_truth(p)
+        assert dt == ds.dt
+        assert back.seed == ds.truth.seed
+        for tag in ("a_true", "b_true", "c_true", "eigs_true", "modes_true"):
+            want, got = getattr(ds.truth, tag), getattr(back, tag)
+            assert (got is None) == (want is None), tag
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
 
 
 def test_atomic_write_leaves_no_partial_file(tmp_path):
@@ -450,7 +453,7 @@ def _extra_row(m):
     return np.vstack([m, m[:1]])
 
 
-@pytest.mark.parametrize("dense, tag, make, match", [
+@pytest.mark.parametrize("latent, tag, make, match", [
     pytest.param(True, "a_true", lambda t: t.a_true[:, :-1],
                  "a_true columns", id="a-not-square"),
     pytest.param(True, "b_true", lambda t: _extra_row(t.b_true),
@@ -459,15 +462,17 @@ def _extra_row(m):
                  "state dimension", id="b-rows-modal"),
     pytest.param(True, "c_true", lambda t: np.ones((3, t.b_true.shape[0] + 1)),
                  "state dimension", id="c-cols"),
-    pytest.param(True, "modes_true", lambda t: _extra_row(t.modes_true),
+    pytest.param(True, "modes_true", lambda t: np.eye(4, 3, dtype=complex),
                  "state dimension", id="modes-rows"),
-    pytest.param(True, "modes_true", lambda t: t.modes_true[:, :-1],
+    pytest.param(True, "modes_true", lambda t: np.eye(3, 2, dtype=complex),
                  "eigenvalues", id="modes-cols"),
 ])
-def test_truth_contradictory_sidecars_rejected(tmp_path, dense, tag, make, match):
-    truth = gen_sparse_fourier(grid=16, n_modes=2, m=6, seed=17).truth
-    if not dense:
-        truth = dataclasses.replace(truth, a_true=None)
+def test_truth_contradictory_sidecars_rejected(tmp_path, latent, tag, make, match):
+    # the latent example-2 truth is order 3 with 3 eigenvalues and no modes
+    if latent:
+        truth = gen_example2(n=3, l=2, q=8, m=10, seed=17).truth
+    else:
+        truth = gen_sparse_fourier(grid=16, n_modes=2, m=6, seed=17).truth
     p = tmp_path / "truth.json"
     dio.write_truth(truth, p)
     doc = json.loads(p.read_text())
@@ -580,12 +585,12 @@ def _paths(node, prefix=()):
 
 @pytest.fixture(scope="module")
 def valid_indexes(tmp_path_factory):
-    """A known-B model index and a dense truth index, each with its sidecars."""
+    """A known-B model index and an example-1 truth index (a_true, b_true
+    and modes), each with its sidecars."""
     d = tmp_path_factory.mktemp("indexes")
     rec = next(r for r in _records() if r.kind == "dmdc-known-b")
     dio.write_model(rec, d / "model.json")
-    dio.write_truth(gen_sparse_fourier(grid=4, n_modes=1, m=3, seed=2).truth,
-                    d / "truth.json")
+    dio.write_truth(gen_example1().truth, d / "truth.json")
     return {
         reader: (d, json.loads((d / name).read_text()))
         for reader, name in ((dio.read_model, "model.json"),

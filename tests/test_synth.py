@@ -20,7 +20,7 @@ from dmdc import (
 )
 from dmdc import io as dio
 from dmdc.synth import _plane_waves
-from helpers import EX1_A, EX1_B, EX1_UPS, EX1_X, EX1_XP
+from helpers import EX1_A, EX1_B, EX1_UPS, EX1_X, EX1_XP, modal_operator
 
 
 def test_example1_defaults_reproduce_benchmark():
@@ -107,12 +107,16 @@ def test_random_inputs_sample_mean_bound():
 
 def test_example2_effective_consistency():
     ds = gen_example2(n=4, l=2, q=30, m=40, seed=5)
-    resid = ds.xp - (ds.truth.a_true @ ds.x + ds.truth.b_true @ ds.upsilon)
+    # the truth is the latent (A, B, C); the data obey x' = C A C^T x + C B u
+    a, b, c = ds.truth.a_true, ds.truth.b_true, ds.truth.c_true
+    assert (a.shape, b.shape, c.shape) == ((4, 4), (4, 2), (30, 4))
+    np.testing.assert_allclose(c.T @ c, np.eye(4), atol=1e-12)
+    resid = ds.xp - (c @ a @ c.T @ ds.x + c @ b @ ds.upsilon)
     assert np.max(np.abs(resid)) <= 1e-12
     assert ds.x.shape == (30, 39)
-    # latent spectrum embeds in the effective operator's nonzero spectrum
+    # a minimal realization: one eigenvalue of A per true eigenvalue
     assert ds.truth.eigs_true.shape == (4,)
-    full = np.linalg.eigvals(ds.truth.a_true)
+    full = np.linalg.eigvals(a)
     for lam in ds.truth.eigs_true:
         assert np.min(np.abs(full - lam)) <= 1e-10
     # fewer channels than states: C C^T = I does not give C^T C = I, so
@@ -148,8 +152,9 @@ def test_sparse_fourier_determinism():
 
 def test_sparse_fourier_consistency_invariant():
     ds = gen_sparse_fourier(grid=32, n_modes=4, m=30, seed=3)
-    assert ds.truth.a_true is not None  # dense truth at this scale
-    resid = ds.xp - (ds.truth.a_true @ ds.x + ds.truth.b_true @ ds.upsilon)
+    assert ds.truth.a_true is None  # modal truth at every grid
+    a = modal_operator(ds.truth)
+    resid = ds.xp - (a @ ds.x + ds.truth.b_true @ ds.upsilon)
     assert np.max(np.abs(resid)) <= 1e-12
 
 
@@ -158,8 +163,8 @@ def test_sparse_fourier_consistency_invariant():
     ids=["default", "centered"],
 )
 def test_sparse_fourier_obeys_modal_truth(actuation):
-    # Past the dense cap the truth is modal only: the data's coefficients
-    # on modes_true must follow the eigenvalues and the forcing b_true.
+    # The truth is modal only: the data's coefficients on modes_true must
+    # follow the eigenvalues and the forcing b_true.
     ds = gen_sparse_fourier(grid=64, n_modes=4, m=40, seed=5, actuation=actuation)
     assert ds.truth.a_true is None
     w = ds.truth.modes_true
@@ -191,11 +196,11 @@ def test_plane_waves_match_direct_exponential(grid):
                                atol=8 * np.finfo(float).eps)
 
 
-def test_sparse_fourier_dense_truth_cap():
-    ds = gen_sparse_fourier(grid=64, n_modes=3, m=6, seed=1)
-    assert ds.truth.a_true is None  # 4096 states exceeds the dense cap
-    assert ds.truth.b_true.shape == (4096, 1)
-    assert ds.truth.modes_true.shape == (4096, 6)
+def test_sparse_fourier_truth_is_modal():
+    ds = gen_sparse_fourier(grid=16, n_modes=3, m=6, seed=1)
+    assert ds.truth.a_true is None  # no dense operator, even on a small grid
+    assert ds.truth.b_true.shape == (256, 1)
+    assert ds.truth.modes_true.shape == (256, 6)
 
 
 def test_sparse_fourier_unforced_modal_decay():
