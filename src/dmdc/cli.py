@@ -40,8 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_matrix(path, transpose: bool = False) -> tuple[np.ndarray, bytes]:
-    """The matrix in the file at ``path`` and the bytes it was parsed from."""
+def _read_matrix(path, transpose: bool = False,
+                 shift_of: tuple[np.ndarray, bytes] | None = None,
+                 ) -> tuple[np.ndarray, bytes]:
+    """The matrix in the file at ``path`` and the bytes it was parsed from.
+
+    ``shift_of`` is X and the CSV bytes it was parsed from, untransposed,
+    when ``path`` names its X': a CSV X' is then read as X advanced one
+    column when its bytes show it (``dio.read_shifted_csv``).
+    """
     path = Path(path)
     if not path.exists():
         raise FormatError(f"{path}: no such file")
@@ -49,16 +56,36 @@ def _read_matrix(path, transpose: bool = False) -> tuple[np.ndarray, bytes]:
     if path.suffix == ".bin":
         m = dio.read_matrix_bin(path, data)
     else:
-        m = dio.read_matrix_csv(path, data)
+        m = None if shift_of is None else dio.read_shifted_csv(*shift_of, data)
+        if m is None:
+            m = dio.read_matrix_csv(path, data)
     return (m.T.copy() if transpose else m), data
+
+
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _read_input(inputs: dict, key: str, path, transpose: bool = False) -> np.ndarray:
     """Read the matrix file at ``path`` and record the sha256 of the bytes
     parsed as ``inputs[key]``."""
     m, data = _read_matrix(path, transpose)
-    inputs[key] = "sha256:" + hashlib.sha256(data).hexdigest()
+    inputs[key] = _digest(data)
     return m
+
+
+def _read_pair(inputs: dict, x_path, xp_path,
+               transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read X and X' as ``_read_input`` does, but X's bytes are kept to read
+    a CSV X' as X advanced one column. A transposed or .bin X drops them
+    before X' is read, as they would only raise the peak memory."""
+    x, x_data = _read_matrix(x_path, transpose)
+    inputs["x"] = _digest(x_data)
+    shift_of = None if transpose or Path(x_path).suffix == ".bin" else (x, x_data)
+    del x_data
+    xp, xp_data = _read_matrix(xp_path, transpose, shift_of)
+    inputs["xp"] = _digest(xp_data)
+    return x, xp
 
 
 def _fmt_row(values) -> str:
@@ -212,8 +239,7 @@ def _cmd_fit(args) -> int:
     else:
         if args.x is None or args.xp is None:
             raise UsageError("need --traj or both --x and --xp")
-        x = _read_input(inputs, "x", args.x, args.transpose_input)
-        xp = _read_input(inputs, "xp", args.xp, args.transpose_input)
+        x, xp = _read_pair(inputs, args.x, args.xp, args.transpose_input)
     model = dmd_fit(x, xp, trunc, args.dt)
     out = _write_fit(args, model, inputs, {"r": trunc})
     print(f"fit: rank {model.output_rank}, wrote {out / 'model.json'}")
@@ -235,8 +261,7 @@ def _cmd_fitc(args) -> int:
             f"--rank-p ({args.rank_p}) must be >= --rank-r ({args.rank_r})"
         )
     inputs = {}
-    x = _read_input(inputs, "x", args.x, args.transpose_input)
-    xp = _read_input(inputs, "xp", args.xp, args.transpose_input)
+    x, xp = _read_pair(inputs, args.x, args.xp, args.transpose_input)
     ups = _read_input(inputs, "u", args.u, args.transpose_input)
     report = None
     if known_b:

@@ -4,6 +4,12 @@ All writers are atomic (write to a temp file, rename on success) and all
 round trips are bitwise stable: CSV cells use shortest round-trip decimal
 reprs and the binary format is little-endian float64.
 
+A snapshot pair cut from one trajectory shares all but one column: X' is X
+advanced one column. When the bytes of two CSV files show that shift,
+``read_shifted_csv`` builds X' from X and parses only its new last column;
+on any other input it returns None and the caller parses X' in full. The
+array is the same either way.
+
 Model records and ground truth are a JSON index plus binary sidecars. The
 index holds the small fields (kinds, ranks, dt, reduced operators,
 eigenvalues, provenance) as plain JSON numbers, which round-trip every
@@ -161,6 +167,55 @@ def _parse_cells(lines: list[str], path) -> np.ndarray:
             row.append(v)
         rows.append(row)
     return np.array(rows, dtype=np.float64)
+
+
+# The bytes of a plain CSV file: one decimal per cell, lines ended by \n.
+_PLAIN_CSV_BYTES = b"0123456789+-.eE,\n"
+
+
+def read_shifted_csv(x: np.ndarray, x_data: bytes, data: bytes) -> np.ndarray | None:
+    """X' read as ``x`` advanced one column, or None.
+
+    ``x`` is the matrix ``read_matrix_csv`` parsed from the bytes
+    ``x_data``, and ``data`` holds the candidate X'. The shift is taken
+    only when both files hold nothing but digits, signs, points,
+    exponents, commas and newlines, each line of ``data`` is the matching
+    line of ``x_data`` after its first comma, then a comma and one more
+    cell, the new cells are finite decimals, and ``data`` ends in nothing
+    but newlines. The result is then x[:, 1:] with the new cells as its
+    last column, bit for bit what ``read_matrix_csv(data)`` returns, since
+    equal cell texts parse to equal floats; only the new cells are
+    parsed. Any other input, CRLF line ends and padded cells included,
+    gives None, and the caller parses ``data`` in full.
+    """
+    if x_data.translate(None, _PLAIN_CSV_BYTES) or data.translate(None, _PLAIN_CSV_BYTES):
+        return None
+    rows = x.shape[0]
+    new = np.empty(rows)
+    i = j = 0  # where the current line starts in x_data and in data
+    for row in range(rows):
+        end = x_data.find(b"\n", i)
+        end = len(x_data) if end < 0 else end
+        comma = x_data.find(b",", i, end)
+        if comma < 0:
+            return None
+        shared = x_data[comma + 1:end]
+        k = j + len(shared)
+        if not data.startswith(shared, j) or data[k:k + 1] != b",":
+            return None
+        stop = data.find(b"\n", k)
+        stop = len(data) if stop < 0 else stop
+        try:  # float() takes no comma, so this is one cell
+            value = float(data[k + 1:stop])
+        except ValueError:
+            return None
+        if not math.isfinite(value):
+            return None
+        new[row] = value
+        i, j = end + 1, stop + 1
+    if data[j:].strip(b"\n"):
+        return None
+    return np.column_stack((x[:, 1:], new))
 
 
 def _bin_bytes(m) -> bytearray:

@@ -126,6 +126,13 @@ def gen_example1(
     )
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The random generator of a seed, the rule of every generator: >= 0."""
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gen_random_stable_ss(
     n: int, l: int, q: int, seed: int = 0
 ) -> tuple[StateSpaceRealization, GroundTruth]:
@@ -138,7 +145,7 @@ def gen_random_stable_ss(
     """
     if n < 1 or l < 1 or q < 1:
         raise InvalidConfigError(f"dimensions must be >= 1, got n={n} l={l} q={q}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     radius = 0.95
     blocks: list[np.ndarray] = []
     for _ in range(n // 2):
@@ -180,7 +187,7 @@ def gen_random_inputs(l: int, m: int, seed: int = 0) -> np.ndarray:
     """Seeded standard-normal input matrix with one column per step."""
     if l < 1 or m < 2:
         raise InvalidConfigError(f"need l >= 1 and m >= 2, got l={l} m={m}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     return rng.standard_normal((l, m - 1))
 
 
@@ -283,7 +290,7 @@ def gen_sparse_fourier(
     if act.width <= 0.0:
         raise InvalidConfigError(f"actuation width must be positive, got {act.width}")
 
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     kmax = min(6, grid // 4)
     classes = _conjugate_classes(grid, kmax)
     if len(classes) < n_modes:
@@ -353,7 +360,7 @@ def add_noise(ds: SynthDataset, sigma: float, seed: int = 0) -> SynthDataset:
         raise InvalidInputError(f"noise level must be >= 0, got {sigma}")
     if sigma == 0.0:
         return ds
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     x = ds.x + sigma * rng.standard_normal(ds.x.shape)
     xp = ds.xp + sigma * rng.standard_normal(ds.xp.shape)
     return SynthDataset(x=x, xp=xp, upsilon=ds.upsilon, truth=ds.truth, dt=ds.dt)

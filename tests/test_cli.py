@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import os
+import shutil
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +69,11 @@ def test_synth_invalid_params_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert "q >= n" in capsys.readouterr().err
     assert not out.exists()
+    for example, seed in (("2", "-1"), ("3", "-5")):
+        code = main(["synth", "--example", example, "--seed", seed, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+        assert not out.exists()
 
 
 def test_fit_trajectory_eigen_table(tmp_path):
@@ -501,6 +508,55 @@ def test_fitc_reads_each_input_once_and_records_its_digest(tmp_path, monkeypatch
         key: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
         for key, path in files.items()
     }
+
+
+def _example2_pair(tmp_path, case):
+    """fitc's X, X' and U files for one way of passing example 2's pair."""
+    ds = tmp_path / "ds"
+    assert main(["synth", "--example", "2", "--out", str(ds)]) == 0
+    files = [ds / "x.csv", ds / "xp.csv", ds / "upsilon.csv"]
+    if case == "swapped":
+        files[:2] = files[1::-1]
+    elif case == "transposed":
+        for i, path in enumerate(files):
+            files[i] = tmp_path / f"{path.stem}_t.csv"
+            dio.write_matrix_csv(dio.read_matrix_csv(path).T, files[i])
+    elif case == "bin":
+        for i, path in enumerate(files[:2]):
+            files[i] = tmp_path / f"{path.stem}.bin"
+            dio.write_matrix_bin(dio.read_matrix_csv(path), files[i])
+    return files
+
+
+@pytest.mark.parametrize("case", ["shift", "swapped", "transposed", "bin"])
+def test_fitc_parses_a_shifted_xp_once(tmp_path, monkeypatch, capsys, case):
+    x, xp, u = _example2_pair(tmp_path, case)
+    capsys.readouterr()
+    out = tmp_path / "fitc"
+    argv = ["fitc", "--x", str(x), "--xp", str(xp), "--u", str(u), "--out", str(out)]
+    if case == "transposed":
+        argv.append("--transpose-input")
+    parsed = []
+    for name in ("read_matrix_csv", "read_matrix_bin"):
+        def counting(path, data=None, _read=getattr(dio, name)):
+            parsed.append(Path(path).name)
+            return _read(path, data)
+        monkeypatch.setattr(dio, name, counting)
+    written = []
+    for full_parse in (False, True):
+        if full_parse:
+            # the files written when every X' is parsed in full
+            monkeypatch.setattr(dio, "read_shifted_csv", lambda *args: None)
+            shutil.rmtree(out)
+        assert main(argv) == 0
+        written.append((capsys.readouterr().out,
+                        {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+        if not full_parse:
+            assert x.name in parsed
+            assert (xp.name in parsed) == (case != "shift"), parsed
+    assert written[0] == written[1]
+    assert {"model.json", "model_basis.bin", "eigenvalues.csv",
+            "b_tilde.csv"} <= written[0][1].keys()
 
 
 def _fit_example1_traj(tmp_path):

@@ -657,20 +657,27 @@ _CSV_PADS = st.sampled_from(("", "", " ", "\t", "\x0c", "\x1f", "\u3000"))
 _CSV_LINE_ENDS = st.sampled_from(("\n", "\n", "\r\n", "\r", "\n\n", "\n \n", "\n\t\n"))
 
 
-@st.composite
-def _csv_of_matrix(draw):
-    """Shortest reprs of a random float64 matrix, cells padded with
-    whitespace and lines ended by newlines or blank lines."""
-    m = draw(hnp.arrays(
+def _matrices(min_side=1):
+    return hnp.arrays(
         np.float64,
-        hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=min_side, max_side=6),
         elements=st.floats(allow_nan=False, allow_infinity=False),
-    ))
-    pad = draw(_CSV_PADS)
+    )
+
+
+def _csv_text(draw, m, pads=_CSV_PADS, line_ends=_CSV_LINE_ENDS) -> str:
+    """Shortest reprs of the cells of ``m``, padded with whitespace, and
+    lines ended by newlines or blank lines."""
+    pad = draw(pads)
     return "".join(
-        ",".join(pad + repr(v) + pad for v in row) + draw(_CSV_LINE_ENDS)
+        ",".join(pad + repr(v) + pad for v in row) + draw(line_ends)
         for row in m.tolist()
     )
+
+
+@st.composite
+def _csv_of_matrix(draw):
+    return _csv_text(draw, draw(_matrices()))
 
 
 _CSV_TEXTS = _csv_of_matrix() | st.lists(
@@ -708,3 +715,81 @@ def test_csv_writer_matches_cell_by_cell_repr(tmp_path):
     dio.write_matrix_csv(m, p)
     old = "\n".join(",".join(repr(float(v)) for v in row) for row in m) + "\n"
     assert p.read_bytes() == old.encode("utf-8")
+
+
+@st.composite
+def _shifted_csv_pair(draw):
+    """The texts of X and X' = X advanced one column, cut from one matrix;
+    half of them as plain as the writer's."""
+    m = draw(_matrices(min_side=2))
+    plain = draw(st.booleans())
+    style = {"pads": st.just(""), "line_ends": st.just("\n")} if plain else {}
+    return _csv_text(draw, m[:, :-1], **style), _csv_text(draw, m[:, 1:], **style)
+
+
+def _outcome(read):
+    try:
+        a = read()
+    except DmdcError as exc:
+        return type(exc), str(exc)
+    return a.shape, a.view(np.int64).tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    pair=_shifted_csv_pair() | st.tuples(_CSV_TEXTS, _CSV_TEXTS),
+    edit=st.none() | st.tuples(
+        st.booleans(), st.integers(0, 10**6), st.just("") | st.sampled_from(_CSV_TOKENS)),
+)
+def test_shifted_csv_read_matches_full_parse(pair, edit):
+    """X' with one token inserted, or one character deleted (token ""),
+    anywhere or, half of the time, at an edge of a line's last cell."""
+    x_text, xp_text = pair
+    if edit is not None:
+        at_edge, at, token = edit
+        if at_edge:
+            ends = [i for i, c in enumerate(xp_text) if c == "\n"] + [len(xp_text)]
+            edges, start = set(ends), 0
+            for end in ends:
+                comma = xp_text.rfind(",", start, end)
+                edges |= {comma, comma + 1} if comma >= 0 else set()
+                start = end + 1
+            at = sorted(edges)[at % len(edges)]
+        else:
+            at %= len(xp_text) + 1
+        xp_text = xp_text[:at] + token + xp_text[at + (token == ""):]
+    x_data, data = x_text.encode(), xp_text.encode()
+    try:
+        x = dio.read_matrix_csv("x.csv", x_data)
+    except DmdcError:
+        return  # the pair read stops at X's own error
+    shifted = dio.read_shifted_csv(x, x_data, data)
+    full = _outcome(lambda: dio.read_matrix_csv("xp.csv", data))
+    pair_read = full if shifted is None else _outcome(lambda: shifted)
+    assert pair_read == full
+
+
+def test_shifted_csv_read_takes_only_a_plain_shift():
+    m = np.arange(12.0).reshape(3, 4) / 7
+    x_data, xp_data = (
+        "".join(",".join(map(repr, row)) + "\n" for row in half.tolist()).encode()
+        for half in (m[:, :-1], m[:, 1:])
+    )
+    x = dio.read_matrix_csv("x.csv", x_data)
+    shifted = dio.read_shifted_csv(x, x_data, xp_data)
+    assert _same_bits(shifted, m[:, 1:])
+    assert _same_bits(dio.read_shifted_csv(x, x_data, xp_data.rstrip(b"\n")), m[:, 1:])
+    assert _same_bits(dio.read_shifted_csv(x, x_data, xp_data + b"\n\n"), m[:, 1:])
+    last = xp_data.rindex(b",", 0, xp_data.index(b"\n"))
+    for other in (
+        xp_data.replace(b"\n", b"\r\n"),                 # CRLF line ends
+        xp_data.replace(b",", b", "),                     # padded cells
+        xp_data.replace(b"\n", b"\x0b\n", 1),             # a line break float() strips
+        x_data,                                           # not a shift
+        xp_data + b"1.0,2.0,3.0\n",                       # an extra line
+        xp_data[:xp_data.rindex(b",")] + b",1e400\n",     # a non-finite new cell
+        xp_data[:xp_data.rindex(b",")] + b",1,2\n",       # two new cells
+        xp_data[:last] + xp_data[last + 1:],              # a new cell fused to the last
+    ):
+        assert dio.read_shifted_csv(x, x_data, other) is None, other
+    assert dio.read_shifted_csv(x, x_data.replace(b"\n", b"\r\n"), xp_data) is None

@@ -91,12 +91,16 @@ def test_random_stable_ss_conjugate_paired_spectrum():
     )
     with pytest.raises(InvalidConfigError):
         gen_random_stable_ss(n=0, l=1, q=1)
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+        gen_random_stable_ss(n=2, l=1, q=2, seed=-1)
 
 
 def test_random_inputs_shape_and_determinism():
     u = gen_random_inputs(l=2, m=101, seed=3)
     assert u.shape == (2, 100)
     np.testing.assert_array_equal(u, gen_random_inputs(l=2, m=101, seed=3))
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+        gen_random_inputs(l=2, m=101, seed=-3)
 
 
 def test_random_inputs_sample_mean_bound():
@@ -240,6 +244,8 @@ def test_sparse_fourier_validation():
     with pytest.raises(InvalidConfigError):
         gen_sparse_fourier(grid=16, n_modes=2, m=5,
                            actuation=ActuationSpec(width=0.0))
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+        gen_sparse_fourier(grid=16, n_modes=2, m=5, seed=-1)
 
 
 def test_actuation_spec_round_trip(tmp_path):
@@ -269,6 +275,8 @@ def test_add_noise_deterministic_and_truth_unchanged():
     np.testing.assert_array_equal(n1.upsilon, ds.upsilon)
     with pytest.raises(InvalidInputError):
         add_noise(ds, -1.0)
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+        add_noise(ds, 0.01, seed=-1)
 
 
 def test_add_noise_empirical_std():
