@@ -78,13 +78,24 @@ class DmdcModel:
 
 
 def split_trajectory(traj) -> tuple[np.ndarray, np.ndarray]:
-    """Split an n x m trajectory into the paired n x (m-1) snapshot matrices."""
+    """Split an n x m trajectory into the paired n x (m-1) snapshot matrices.
+
+    X and X' are read-only views of one float64 trajectory, ``traj`` itself
+    when it already is one, so the pair costs no second copy of the data.
+    """
     t = as_matrix(traj, "trajectory")
     if t.shape[1] < 2:
         raise InsufficientDataError(
             f"need at least 2 snapshots to split, got {t.shape[1]}"
         )
-    return t[:, :-1].copy(), t[:, 1:].copy()
+    return _snapshot_views(t)
+
+
+def _snapshot_views(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = t[:, :-1] and X' = t[:, 1:] as read-only views of ``t``."""
+    x, xp = t[:, :-1], t[:, 1:]
+    x.flags.writeable = xp.flags.writeable = False
+    return x, xp
 
 
 def exact_modes(
@@ -122,16 +133,22 @@ def _checked_pair(x, xp, dt) -> tuple[np.ndarray, np.ndarray, float]:
     return x, xp, dt
 
 
-def _regress(svd: TruncatedSvd, target, basis, b, kind: str, dt: float) -> DmdcModel:
-    """The one regression of every fit: G = ``target`` V inv(Sigma).
+def _gain(svd: TruncatedSvd, target) -> np.ndarray:
+    """G = ``target`` V inv(Sigma), the n x rank factor of every fit."""
+    return target @ (svd.v / svd.sigma)
+
+
+def _regress(svd: TruncatedSvd, g, basis, b, kind: str, dt: float) -> DmdcModel:
+    """The one regression of every fit, from G = ``_gain(svd, target)``.
 
     ``svd`` factors the regressor: X, or [X; U] when the n x l input map
     ``b`` is unknown (None). With U1, U2 the state and input rows of U,
     A = G U1^T and B = G U2^T (n x 0 for DMD) or ``b``. On ``basis``,
     A~ = P M with P = basis^T G and M = U1^T basis; modes lift through G M.
+    Taking G rather than the n x m target lets a caller free the target
+    before the mode lift.
     """
-    n = target.shape[0]
-    g = target @ (svd.v / svd.sigma)
+    n = g.shape[0]
     u1, u2 = svd.u[:n], svd.u[n:]
     m = u1.T @ basis
     proj = basis.T @ g
@@ -165,4 +182,4 @@ def dmd_fit(x, xp, trunc: TruncationPolicy = None, dt: float = 1.0) -> DmdcModel
     """
     x, xp, dt = _checked_pair(x, xp, dt)
     svd = _truncated_svd(x, trunc)
-    return _regress(svd, xp, svd.u, None, "dmd", dt)
+    return _regress(svd, _gain(svd, xp), svd.u, None, "dmd", dt)

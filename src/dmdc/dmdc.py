@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import DmdcModel, _checked_pair, _regress
+from .dmd import DmdcModel, _checked_pair, _gain, _regress
 from .errors import ShapeError, TruncationOrderError
 from .linalg import (
+    BLOCK_ROWS,
     TruncationPolicy,
     _leading_rows_rank,
     _truncated_svd,
@@ -48,6 +49,15 @@ def _checked_upsilon(x: np.ndarray, upsilon) -> np.ndarray:
     return ups
 
 
+def _input_corrected(xp: np.ndarray, b: np.ndarray, ups: np.ndarray) -> np.ndarray:
+    """X' - B U, formed in blocks of ``BLOCK_ROWS`` rows: no n x m product
+    is held next to the result, whose bits are those of ``xp - b @ ups``."""
+    target = xp.copy()
+    for i in range(0, target.shape[0], BLOCK_ROWS):
+        target[i:i + BLOCK_ROWS] -= b[i:i + BLOCK_ROWS] @ ups
+    return target
+
+
 def dmdc_fit_known_b(
     x, xp, upsilon, b, trunc: TruncationPolicy = None, dt: float = 1.0
 ) -> DmdcModel:
@@ -55,7 +65,7 @@ def dmdc_fit_known_b(
 
     The control contribution is removed from the shifted snapshots before
     the regression; with all-zero inputs the result equals ``dmd_fit``
-    exactly.
+    exactly. The corrected targets live only while G is formed from them.
     """
     x, xp, dt = _checked_pair(x, xp, dt)
     ups = _checked_upsilon(x, upsilon)
@@ -67,7 +77,8 @@ def dmdc_fit_known_b(
             f"b is {b.shape}, expected ({x.shape[0]}, {ups.shape[0]})"
         )
     svd = _truncated_svd(x, trunc)
-    return _regress(svd, xp - b @ ups, svd.u, b, "dmdc-known-b", dt)
+    g = _gain(svd, _input_corrected(xp, b, ups))
+    return _regress(svd, g, svd.u, b, "dmdc-known-b", dt)
 
 
 def dmdc_fit_unknown_b(
@@ -98,7 +109,8 @@ def dmdc_fit_unknown_b(
         raise TruncationOrderError(
             f"input-space rank p={p} must be >= output-space rank r={r}"
         )
-    model = _regress(svd_p, xp, svd_r.u[:, :r], None, "dmdc-unknown-b", dt)
+    model = _regress(svd_p, _gain(svd_p, xp), svd_r.u[:, :r], None,
+                     "dmdc-unknown-b", dt)
 
     omega_rank = svd_p.numerical_rank()
     required = _leading_rows_rank(svd_p, x) + ups.shape[0]

@@ -27,8 +27,8 @@ import hashlib
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,14 +44,18 @@ MODEL_KINDS = ("dmd", "dmdc-known-b", "dmdc-unknown-b")
 
 def _atomic_write_bytes(path, data: bytes) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
+    # O_EXCL with mode 0o666 creates a fresh temp file with the mode open()
+    # would give it under the umask, which is never read or set here; a
+    # name that is taken is skipped for a new random one.
+    while True:
+        tmp = path.parent / f".{path.name}.{secrets.token_hex(4)}"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as f:
-            # mkstemp makes the file owner-only and os.replace keeps that
-            # mode; give it the one open() would have under the umask.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -178,17 +182,24 @@ def read_shifted_csv(x: np.ndarray, x_data: bytes, data: bytes) -> np.ndarray | 
 
     ``x`` is the matrix ``read_matrix_csv`` parsed from the bytes
     ``x_data``, and ``data`` holds the candidate X'. The shift is taken
-    only when both files hold nothing but digits, signs, points,
-    exponents, commas and newlines, each line of ``data`` is the matching
-    line of ``x_data`` after its first comma, then a comma and one more
-    cell, the new cells are finite decimals, and ``data`` ends in nothing
-    but newlines. The result is then x[:, 1:] with the new cells as its
-    last column, bit for bit what ``read_matrix_csv(data)`` returns, since
-    equal cell texts parse to equal floats; only the new cells are
-    parsed. Any other input, CRLF line ends and padded cells included,
-    gives None, and the caller parses ``data`` in full.
+    only when ``data`` holds nothing but digits, signs, points, exponents,
+    commas and newlines, each line of ``data`` is the matching line of
+    ``x_data`` after its first comma, then a comma and one more cell, the
+    new cells are finite decimals, and ``data`` ends in nothing but
+    newlines. The result is then x[:, 1:] with the new cells as its last
+    column, bit for bit what ``read_matrix_csv(data)`` returns, since
+    equal cell texts parse to equal floats; only the new cells are parsed.
+    Any other input, CRLF line ends and padded cells included, gives None,
+    and the caller parses ``data`` in full.
+
+    Only ``data`` is scanned for other bytes. The bytes of ``x_data`` that
+    the result takes, each line after its first comma, equal bytes of
+    ``data`` and so are plain too, and X's first cells are not taken.
+    Nor can a line break other than a newline hide in a first cell: it
+    would split off a line with no comma from one with commas, and X,
+    ragged, would not have parsed.
     """
-    if x_data.translate(None, _PLAIN_CSV_BYTES) or data.translate(None, _PLAIN_CSV_BYTES):
+    if data.translate(None, _PLAIN_CSV_BYTES):
         return None
     rows = x.shape[0]
     new = np.empty(rows)
@@ -239,7 +250,8 @@ def read_matrix_bin(path, data: bytes | None = None) -> np.ndarray:
 
     ``data`` is the file's content when the caller has already read it;
     ``path`` then only names the file in messages. The result is a
-    C-ordered copy.
+    C-ordered copy, made straight from the column-major payload in
+    ``data``: the one n x m array the read adds next to the bytes.
     """
     return _bin_matrix(Path(path).read_bytes() if data is None else data, path)
 
@@ -257,7 +269,7 @@ def _bin_matrix(data: bytes, path) -> np.ndarray:
         raise LengthError(
             f"{path}: payload is {len(data) - 24} bytes, expected {expected}"
         )
-    flat = np.frombuffer(data[24:], dtype="<f8")
+    flat = np.frombuffer(data, dtype="<f8", offset=24)
     return flat.reshape((rows, cols), order="F").copy()
 
 

@@ -33,6 +33,10 @@ _EPS = float(np.finfo(np.float64).eps)
 # only chooses which directions to try: a real direction below it leaves a
 # residual the certificate rejects, so a bad cut costs time, never accuracy.
 _GRAM_CUT = 1e-12
+# Row block of the n x m passes that need no whole n x m temporary: the
+# certificate residual here and the known-B targets in ``dmdc`` (about
+# 1 MB per block at m = 59).
+BLOCK_ROWS = 2048
 
 TruncationPolicy = int | float | None
 """Truncation policy for singular value factorizations.
@@ -250,7 +254,8 @@ def _snapshot_svd(a: np.ndarray, rank: int | None, tau: float):
     ``a`` and orthonormalized by CholeskyQR2 into Q; the SVD of the small
     Q^T a gives the factors. Forming the Gram matrix squares the condition
     number, so nothing is trusted until the residual E = a - Q Q^T a,
-    computed directly (a trace difference cancels near 1e-8), passes the
+    computed directly (a trace difference cancels near 1e-8) and summed
+    over blocks of ``BLOCK_ROWS`` rows, so no n x m E is held, passes the
     a-posteriori check of Halko, Martinsson & Tropp (2011). By Weyl's
     inequality every singular value of ``a`` beyond those of Q^T a is at
     most ||E||_F and each of those is within ||E||_F of the exact one, so
@@ -302,9 +307,13 @@ def _snapshot_svd(a: np.ndarray, rank: int | None, tau: float):
     if np.linalg.norm(q.T @ q - np.eye(k)) > rounding:
         return None
     b = q.T @ t
-    e = q @ b
-    np.subtract(t, e, out=e)
-    residual = float(np.linalg.norm(e))
+    squares = 0.0
+    for i in range(0, n, BLOCK_ROWS):
+        e = q[i:i + BLOCK_ROWS] @ b
+        np.subtract(t[i:i + BLOCK_ROWS], e, out=e)
+        e = e.ravel()
+        squares += float(e @ e)
+    residual = math.sqrt(squares)
     ub, s, vbt = np.linalg.svd(b, full_matrices=False)
     # the one 0.0 stands for the m - k singular values that are not listed
     listed = np.append(s, 0.0)

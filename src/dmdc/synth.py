@@ -8,12 +8,13 @@ many measurement channels, and a sparse oscillatory system on a periodic
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .dmd import _checked_dt
+from .dmd import _checked_dt, _snapshot_views
 from .errors import (
     DivergenceError,
     InsufficientDataError,
@@ -50,7 +51,9 @@ class SynthDataset:
 
     Noiseless datasets satisfy xp = C a_true C^T x + C b_true upsilon
     columnwise, with C = c_true (or I); a modal truth has no a_true and
-    its data follow modes_true and eigs_true instead.
+    its data follow modes_true and eigs_true instead. The generators return
+    x and xp as read-only views of one n x m trajectory, as
+    ``split_trajectory`` does, so a dataset holds its snapshots once.
     """
 
     x: np.ndarray
@@ -120,10 +123,8 @@ def gen_example1(
         modes_true=np.eye(2, dtype=np.complex128),
         seed=0,
     )
-    return SynthDataset(
-        x=states[:, :-1].copy(), xp=states[:, 1:].copy(),
-        upsilon=ups, truth=truth, dt=dt,
-    )
+    x, xp = _snapshot_views(states)
+    return SynthDataset(x=x, xp=xp, upsilon=ups, truth=truth, dt=dt)
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
@@ -216,11 +217,8 @@ def gen_example2(
     states = np.zeros((n, m))
     for k in range(m - 1):
         states[:, k + 1] = real.a @ states[:, k] + real.b @ ups[:, k]
-    ys = real.c @ states
-    return SynthDataset(
-        x=ys[:, :-1].copy(), xp=ys[:, 1:].copy(),
-        upsilon=ups, truth=truth, dt=dt,
-    )
+    x, xp = _snapshot_views(real.c @ states)
+    return SynthDataset(x=x, xp=xp, upsilon=ups, truth=truth, dt=dt)
 
 
 def _conjugate_classes(grid: int, kmax: int) -> list[tuple[int, int]]:
@@ -331,7 +329,7 @@ def gen_sparse_fourier(
     def field(c: np.ndarray) -> np.ndarray:
         return w_ri @ np.concatenate([2.0 * c.real, -2.0 * c.imag])
 
-    snaps = field(coeffs)
+    x, xp = _snapshot_views(field(coeffs))
     b_true = field(beta).reshape(-1, 1)
 
     eigs_raw = np.concatenate([mu, np.conj(mu)])
@@ -345,8 +343,7 @@ def gen_sparse_fourier(
         eigs_true=eigs_true, modes_true=modes_true, seed=int(seed),
     )
     return SynthDataset(
-        x=snaps[:, :-1].copy(), xp=snaps[:, 1:].copy(),
-        upsilon=signal.reshape(1, -1), truth=truth, dt=dt,
+        x=x, xp=xp, upsilon=signal.reshape(1, -1), truth=truth, dt=dt,
     )
 
 
@@ -354,10 +351,11 @@ def add_noise(ds: SynthDataset, sigma: float, seed: int = 0) -> SynthDataset:
     """Add seeded i.i.d. Gaussian noise to the state snapshots.
 
     The control matrix and ground truth are left untouched; sigma = 0
-    returns the dataset unchanged.
+    returns the dataset unchanged. A sigma that is negative or not finite
+    raises InvalidInputError.
     """
-    if sigma < 0.0:
-        raise InvalidInputError(f"noise level must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise InvalidInputError(f"noise level must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return ds
     rng = _seeded_rng(seed)

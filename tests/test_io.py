@@ -293,6 +293,29 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == [p]  # no stray temp files
 
 
+def test_atomic_writes_never_touch_the_umask(tmp_path, monkeypatch):
+    # reading the umask means setting it, for a moment, for every thread
+    def no_umask(mask):
+        raise AssertionError("the process umask was read or set")
+
+    monkeypatch.setattr(dio.os, "umask", no_umask)
+    dio.write_model(list(_records())[0], tmp_path / "model.json")
+    dio.write_matrix_csv(np.eye(2), tmp_path / "x.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ("model.json", "x.csv", *MODEL_SIDECARS))
+
+
+def test_atomic_write_takes_a_new_name_on_a_clash(tmp_path, monkeypatch):
+    taken = tmp_path / ".x.csv.0000"
+    taken.write_bytes(b"someone else's")
+    names = iter(["0000", "0000", "0001"])
+    monkeypatch.setattr(dio.secrets, "token_hex", lambda nbytes: next(names))
+    dio.write_matrix_csv(np.eye(2), tmp_path / "x.csv")
+    assert next(names, None) is None
+    assert taken.read_bytes() == b"someone else's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".x.csv.0000", "x.csv"]
+
+
 MODEL_SIDECARS = ("model_basis.bin", "model_modes_re.bin", "model_modes_im.bin")
 
 
@@ -735,29 +758,38 @@ def _outcome(read):
     return a.shape, a.view(np.int64).tobytes()
 
 
+def _edited(text: str, at_edge: bool, at: int, token: str, first: bool) -> str:
+    """``text`` with ``token`` inserted, or one character deleted (token
+    ""), anywhere or at an edge of each line's first or last cell."""
+    if at_edge:
+        ends = [i for i, c in enumerate(text) if c == "\n"] + [len(text)]
+        edges, start = set(ends) | {0}, 0
+        for end in ends:
+            comma = text.find(",", start, end) if first else text.rfind(",", start, end)
+            edges |= {comma, comma + 1} if comma >= 0 else set()
+            start = end + 1
+        at = sorted(edges)[at % len(edges)]
+    else:
+        at %= len(text) + 1
+    return text[:at] + token + text[at + (token == ""):]
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     pair=_shifted_csv_pair() | st.tuples(_CSV_TEXTS, _CSV_TEXTS),
     edit=st.none() | st.tuples(
         st.booleans(), st.integers(0, 10**6), st.just("") | st.sampled_from(_CSV_TOKENS)),
+    in_x=st.booleans(),
 )
-def test_shifted_csv_read_matches_full_parse(pair, edit):
-    """X' with one token inserted, or one character deleted (token ""),
-    anywhere or, half of the time, at an edge of a line's last cell."""
+def test_shifted_csv_read_matches_full_parse(pair, edit, in_x):
+    """One edit, half of the time at an edge of a cell the shift compares
+    or parses: in X' at its last cells, or in X, whose bytes the shift does
+    not scan, at its first cells."""
     x_text, xp_text = pair
-    if edit is not None:
-        at_edge, at, token = edit
-        if at_edge:
-            ends = [i for i, c in enumerate(xp_text) if c == "\n"] + [len(xp_text)]
-            edges, start = set(ends), 0
-            for end in ends:
-                comma = xp_text.rfind(",", start, end)
-                edges |= {comma, comma + 1} if comma >= 0 else set()
-                start = end + 1
-            at = sorted(edges)[at % len(edges)]
-        else:
-            at %= len(xp_text) + 1
-        xp_text = xp_text[:at] + token + xp_text[at + (token == ""):]
+    if edit is not None and in_x:
+        x_text = _edited(x_text, *edit, first=True)
+    elif edit is not None:
+        xp_text = _edited(xp_text, *edit, first=False)
     x_data, data = x_text.encode(), xp_text.encode()
     try:
         x = dio.read_matrix_csv("x.csv", x_data)
@@ -792,4 +824,9 @@ def test_shifted_csv_read_takes_only_a_plain_shift():
         xp_data[:last] + xp_data[last + 1:],              # a new cell fused to the last
     ):
         assert dio.read_shifted_csv(x, x_data, other) is None, other
+    # only X's first cells may hold other bytes, and the shift never reads them
+    padded = b"\n".join(b" " + line for line in x_data.split(b"\n")[:-1]) + b"\n"
+    got = dio.read_shifted_csv(dio.read_matrix_csv("x.csv", padded), padded, xp_data)
+    assert _same_bits(got, dio.read_matrix_csv("xp.csv", xp_data))
+    # CR line ends put a byte X' lacks into every shared line
     assert dio.read_shifted_csv(x, x_data.replace(b"\n", b"\r\n"), xp_data) is None

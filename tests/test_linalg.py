@@ -209,6 +209,23 @@ def test_example3_snapshots_certified_without_factoring_x(monkeypatch):
         f.numerical_rank(0.5 * f.tail_bound / f.spectrum[0])
 
 
+def test_certificate_residual_sums_every_row_block(monkeypatch):
+    # three row blocks and a partial fourth; a tail at 5e-12 is not lifted
+    # but stays under the certificate's 1e-10, so the residual is its norm
+    n, m = 3 * linalg.BLOCK_ROWS + 5, 60
+    sigma = np.concatenate([[1.0, 0.5, 0.2], np.full(m - 3, 5e-12)])
+    a = _with_spectrum(sigma, n, m, seed=23)
+    shapes = _record_svd_shapes(monkeypatch)
+    for mat in (a, a.T):
+        f = truncated_svd(mat)
+        assert f.rank == 3 and f.spectrum.size == 3
+        u = f.u if mat is a else f.v
+        whole = np.linalg.norm(a - u @ (u.T @ a))
+        np.testing.assert_allclose(f.tail_bound, whole, rtol=1e-3)
+        np.testing.assert_allclose(whole, np.linalg.norm(sigma[3:]), rtol=1e-3)
+    assert (n, m) not in shapes and (m, n) not in shapes
+
+
 def test_smooth_decay_through_the_threshold_takes_lapack(monkeypatch):
     n, m = 2000, 60
     sigma = np.concatenate([[1.0, 0.7, 0.4], np.logspace(-6, -12, m - 3)])

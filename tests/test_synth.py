@@ -273,8 +273,9 @@ def test_add_noise_deterministic_and_truth_unchanged():
     np.testing.assert_array_equal(n1.xp, n2.xp)
     assert n1.truth is ds.truth
     np.testing.assert_array_equal(n1.upsilon, ds.upsilon)
-    with pytest.raises(InvalidInputError):
-        add_noise(ds, -1.0)
+    for sigma in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidInputError, match="noise level"):
+            add_noise(ds, sigma)
     with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
         add_noise(ds, 0.01, seed=-1)
 
