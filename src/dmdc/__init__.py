@@ -9,7 +9,6 @@ frequency-domain comparison.
 from .dmd import (
     DmdcModel,
     dmd_fit,
-    exact_modes,
     split_trajectory,
 )
 from .dmdc import (
@@ -98,7 +97,6 @@ __all__ = [
     "dmdc_fit_known_b",
     "dmdc_fit_unknown_b",
     "eig",
-    "exact_modes",
     "frequency_response",
     "gen_example1",
     "gen_example2",

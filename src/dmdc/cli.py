@@ -40,62 +40,48 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_matrix(path, transpose: bool = False,
+def _read_matrix(path, inputs: dict, key: str, transpose: bool = False,
                  shift_of: tuple[np.ndarray, bytes] | None = None,
-                 ) -> tuple[np.ndarray, bytes]:
-    """The matrix in the file at ``path`` and the bytes it was parsed from.
+                 ) -> tuple[np.ndarray, bytes | None]:
+    """The matrix in the file at ``path`` and the bytes it was parsed from,
+    whose sha256 is recorded as ``inputs[key]``.
 
     ``shift_of`` is X and the CSV bytes it was parsed from, untransposed,
     when ``path`` names its X': a CSV X' is then read as X advanced one
-    column when its bytes show it (``dio.read_shifted_csv``).
+    column when its bytes show it (``dio.read_shifted_csv``). A transposed
+    read drops the bytes, None in the result, before it copies the matrix
+    in transposed C order, so it holds two n x m arrays, not three.
     """
     path = Path(path)
     if not path.exists():
         raise FormatError(f"{path}: no such file")
     data = path.read_bytes()
+    inputs[key] = "sha256:" + hashlib.sha256(data).hexdigest()
     if path.suffix == ".bin":
         m = dio.read_matrix_bin(path, data)
     else:
         m = None if shift_of is None else dio.read_shifted_csv(*shift_of, data)
         if m is None:
             m = dio.read_matrix_csv(path, data)
-    return (m.T.copy() if transpose else m), data
-
-
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _read_input(inputs: dict, key: str, path, transpose: bool = False) -> np.ndarray:
-    """Read the matrix file at ``path`` and record the sha256 of the bytes
-    parsed as ``inputs[key]``."""
-    m, data = _read_matrix(path, transpose)
-    inputs[key] = _digest(data)
-    return m
+    if transpose:
+        del data
+        return m.T.copy(), None
+    return m, data
 
 
 def _read_pair(inputs: dict, x_path, xp_path,
                transpose: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read X and X' as ``_read_input`` does, but X's bytes are kept to read
-    a CSV X' as X advanced one column. A transposed or .bin X drops them
-    before X' is read, as they would only raise the peak memory."""
-    x, x_data = _read_matrix(x_path, transpose)
-    inputs["x"] = _digest(x_data)
-    shift_of = None if transpose or Path(x_path).suffix == ".bin" else (x, x_data)
+    """Read X and X'. An untransposed CSV X keeps its bytes to read X' as X
+    advanced one column; any other X drops them before X' is read, as they
+    would only raise the peak memory."""
+    x, x_data = _read_matrix(x_path, inputs, "x", transpose)
+    shift_of = None if x_data is None or Path(x_path).suffix == ".bin" else (x, x_data)
     del x_data
-    xp, xp_data = _read_matrix(xp_path, transpose, shift_of)
-    inputs["xp"] = _digest(xp_data)
-    return x, xp
+    return x, _read_matrix(xp_path, inputs, "xp", transpose, shift_of)[0]
 
 
-def _fmt_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
-def _write_table(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(rows)
-    dio.write_text_atomic(path, "\n".join(lines) + "\n")
+def _write_table(path, header: list[str], rows: list[str]) -> None:
+    dio.write_text_atomic(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
 def _trunc_policy(rank, threshold):
@@ -132,13 +118,6 @@ def _add_omega_grid(parser) -> None:
     parser.add_argument("--omega-count", type=int, default=DEFAULT_FREQ_COUNT)
     parser.add_argument("--omega-min", type=float, default=DEFAULT_FREQ_MIN)
     parser.add_argument("--omega-max", type=float, default=float(np.pi))
-
-
-def _eig_table(path, eigenvalues) -> None:
-    rows = [
-        _fmt_row([z.real, z.imag, abs(z)]) for z in np.asarray(eigenvalues)
-    ]
-    _write_table(path, ["re", "im", "magnitude"], rows)
 
 
 def _out_dir(args) -> Path:
@@ -224,7 +203,9 @@ def _write_fit(args, model, inputs: dict, truncation: dict) -> Path:
         "transpose_input": bool(args.transpose_input),
     }
     dio.write_model(dio.ModelRecord.from_model(model, provenance), out / "model.json")
-    _eig_table(out / "eigenvalues.csv", model.eigenvalues)
+    # abs(z) one eigenvalue at a time: np.abs on the array may differ in the last bit
+    eigs = [[z.real, z.imag, abs(z)] for z in model.eigenvalues]
+    _write_table(out / "eigenvalues.csv", ["re", "im", "magnitude"], dio.csv_lines(eigs))
     return out
 
 
@@ -234,7 +215,7 @@ def _cmd_fit(args) -> int:
     if args.traj is not None:
         if args.x is not None or args.xp is not None:
             raise UsageError("--traj excludes --x/--xp")
-        traj = _read_input(inputs, "traj", args.traj, args.transpose_input)
+        traj = _read_matrix(args.traj, inputs, "traj", args.transpose_input)[0]
         x, xp = split_trajectory(traj)
     else:
         if args.x is None or args.xp is None:
@@ -262,10 +243,10 @@ def _cmd_fitc(args) -> int:
         )
     inputs = {}
     x, xp = _read_pair(inputs, args.x, args.xp, args.transpose_input)
-    ups = _read_input(inputs, "u", args.u, args.transpose_input)
+    ups = _read_matrix(args.u, inputs, "u", args.transpose_input)[0]
     report = None
     if known_b:
-        b = _read_input(inputs, "b", args.b_matrix)
+        b = _read_matrix(args.b_matrix, inputs, "b")[0]
         model = dmdc_fit_known_b(x, xp, ups, b, trunc_r, args.dt)
     else:
         model, report = dmdc_fit_unknown_b(x, xp, ups, trunc_p, trunc_r, args.dt)
@@ -383,14 +364,11 @@ def _cmd_compare(args) -> int:
 
     # every check has passed: only now create --out and write the tables
     out = _out_dir(args)
-    rows = []
-    for i, (j, d) in enumerate(zip(perm, dists)):
-        z, w = record.eigenvalues[i], np.asarray(ref_eigs)[j]
-        rows.append(_fmt_row([z.real, z.imag, w.real, w.imag, d]))
+    z, w = record.eigenvalues, np.asarray(ref_eigs)[perm]
     _write_table(
         out / "eigen_compare.csv",
         ["model_re", "model_im", "ref_re", "ref_im", "abs_error"],
-        rows,
+        dio.csv_lines(np.column_stack([z.real, z.imag, w.real, w.imag, dists])),
     )
     print(f"spectral_distance={float(np.max(dists)) if dists.size else 0.0!r}")
 
@@ -398,7 +376,7 @@ def _cmd_compare(args) -> int:
         _write_table(
             out / "mode_similarity.csv",
             ["mode", "cosine_similarity"],
-            [f"{i},{repr(float(s))}" for i, s in enumerate(sims)],
+            [f"{i},{line}" for i, line in enumerate(dio.csv_lines(sims[:, None]))],
         )
         print(f"min_mode_similarity={float(np.min(sims))!r}")
 
@@ -408,13 +386,10 @@ def _cmd_compare(args) -> int:
         header = ["omega"]
         for i in range(1, k + 1):
             header += [f"sigma{i}_model", f"sigma{i}_ref", f"relgap{i}"]
-        rows = []
-        for i, w in enumerate(omegas):
-            vals = [w]
-            for j in range(k):
-                vals += [sig_a[i, j], sig_b[i, j], rel[i, j]]
-            rows.append(_fmt_row(vals))
-        _write_table(out / "freq_compare.csv", header, rows)
+        # per frequency: omega, then (model, ref, relgap) for each sigma
+        cells = np.stack([sig_a, sig_b, rel], axis=2).reshape(omegas.size, 3 * k)
+        _write_table(out / "freq_compare.csv", header,
+                     dio.csv_lines(np.column_stack([omegas, cells])))
         print(f"max_sigma_relative_gap={float(np.max(rel))!r}")
     return EXIT_OK
 
@@ -427,17 +402,19 @@ def _cmd_freqresp(args) -> int:
     else:
         if not (args.a and args.b and args.c):
             raise UsageError("need --model or all of --a, --b, --c")
+        inputs = {}
         ss = StateSpaceRealization(
-            a=_read_matrix(args.a)[0],
-            b=_read_matrix(args.b)[0],
-            c=_read_matrix(args.c)[0],
+            a=_read_matrix(args.a, inputs, "a")[0],
+            b=_read_matrix(args.b, inputs, "b")[0],
+            c=_read_matrix(args.c, inputs, "c")[0],
         )
     curve = frequency_response(ss, _omega_grid(args), on_singular="mark")
     k = curve.sigmas.shape[1]
     header = ["omega", "status"] + [f"sigma{i}" for i in range(1, k + 1)]
     rows = [
-        repr(float(w)) + (",singular" + "," * k if bad else ",ok," + _fmt_row(sig))
-        for w, sig, bad in zip(curve.omegas, curve.sigmas, curve.singular)
+        w + (",singular" + "," * k if bad else ",ok," + sig)
+        for w, sig, bad in zip(dio.csv_lines(curve.omegas[:, None]),
+                               dio.csv_lines(curve.sigmas), curve.singular)
     ]
     n_singular = int(np.sum(curve.singular))
     out = _out_dir(args)

@@ -63,12 +63,13 @@ class DmdcModel:
     def eigenvalues(self) -> np.ndarray:
         return self.eigen.values
 
-    def full_operator(self, max_dim: int = FULL_OPERATOR_MAX_DIM) -> np.ndarray:
-        """Materialize the n x n operator; refuses above ``max_dim``."""
+    def full_operator(self) -> np.ndarray:
+        """Materialize the n x n operator; refuses above ``FULL_OPERATOR_MAX_DIM``."""
         n = self.op_left.shape[0]
-        if n > max_dim:
+        if n > FULL_OPERATOR_MAX_DIM:
             raise InvalidInputError(
-                f"refusing to materialize a {n}x{n} operator (cap {max_dim})"
+                f"refusing to materialize a {n}x{n} operator "
+                f"(cap {FULL_OPERATOR_MAX_DIM})"
             )
         return self.op_left @ self.op_right
 
@@ -98,7 +99,7 @@ def _snapshot_views(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, xp
 
 
-def exact_modes(
+def _exact_modes(
     eigen: EigenDecomposition,
     lift: np.ndarray,
     zero_basis: np.ndarray,
@@ -164,7 +165,7 @@ def _regress(svd: TruncatedSvd, g, basis, b, kind: str, dt: float) -> DmdcModel:
         b_tilde=b_tilde,
         basis=basis,
         eigen=eigen,
-        modes=exact_modes(eigen, g @ m, basis),
+        modes=_exact_modes(eigen, g @ m, basis),
         input_rank=svd.rank,
         output_rank=basis.shape[1],
         dt=dt,

@@ -69,13 +69,6 @@ def write_text_atomic(path, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
-
-
 def _decode_text(data: bytes, path) -> str:
     try:
         return data.decode("utf-8")
@@ -89,7 +82,7 @@ def read_json_object(path, what: str) -> dict:
     Raises FormatError if the file is not UTF-8 and SchemaError if it is
     not one JSON object (bad syntax and nesting too deep included).
     """
-    text = _read_text(path)
+    text = _decode_text(Path(path).read_bytes(), path)
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -99,11 +92,18 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
+def csv_lines(m) -> list[str]:
+    """The CSV lines of a 2-D float array, one per row: each cell is its
+    shortest round-trip repr, cells joined by commas. Every matrix file and
+    every CLI table is written by this one rule; any float is formatted,
+    a NaN or an infinity included."""
+    return [",".join(map(repr, row.tolist())) for row in np.asarray(m, dtype=np.float64)]
+
+
 def write_matrix_csv(m, path) -> None:
     """Write a matrix as CSV, one state row per line, snapshots as columns."""
-    a = as_matrix(m, "matrix")
-    lines = "\n".join(",".join(map(repr, row.tolist())) for row in a)
-    write_text_atomic(path, lines + "\n")
+    lines = csv_lines(as_matrix(m, "matrix"))
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_matrix_csv(path, data: bytes | None = None) -> np.ndarray:

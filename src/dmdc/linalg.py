@@ -98,9 +98,6 @@ class TruncatedSvd:
     spectrum: np.ndarray
     tail_bound: float
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
     def numerical_rank(self, tau: float = DEFAULT_SVD_THRESHOLD) -> int:
         """``numerical_rank`` of the factored matrix, read off ``spectrum``.
 

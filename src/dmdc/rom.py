@@ -23,17 +23,15 @@ from .errors import (
     ShapeError,
     SingularFrequencyError,
 )
-from .linalg import as_matrix
+from .linalg import DEFAULT_SVD_THRESHOLD, as_matrix
 
 DEFAULT_FREQ_COUNT = 200
 DEFAULT_FREQ_MIN = 1e-3
 SINGULAR_FREQ_TOL = 1e-12
 SINGULAR_POLICIES = ("raise", "mark")
 
-# Singular values of [Re Phi, Im Phi] above this fraction of the largest
-# span the modal truth; an input map farther than MODAL_SPAN_TOL (relative)
-# from that span is not realizable on it.
-MODAL_SPAN_THRESHOLD = 1e-10
+# An input map farther than this (relative) from the span of the modal
+# truth is not realizable on it.
 MODAL_SPAN_TOL = 1e-8
 
 
@@ -115,14 +113,15 @@ def realize_truth(truth) -> StateSpaceRealization:
 def _modal_realization(truth) -> StateSpaceRealization:
     """Real realization of A = Phi diag(lambda) pinv(Phi) on span[Re Phi, Im Phi].
 
-    With Q an orthonormal basis of that span (left singular vectors, since
-    the 4k columns of [Re Phi, Im Phi] have rank 2k), A = Q A~ Q^T for
+    With Q an orthonormal basis of that span (the left singular vectors of
+    [Re Phi, Im Phi] above DEFAULT_SVD_THRESHOLD of the largest, since its
+    4k columns have rank 2k), A = Q A~ Q^T for
     A~ = Re(Q^T Phi diag(lambda) pinv(Q^T Phi)). So (A~, Q^T b, C Q) has the
     transfer function of (A, b, C) whenever b lies in the span.
     """
     phi = truth.modes_true
     u, s, _ = np.linalg.svd(np.hstack([phi.real, phi.imag]), full_matrices=False)
-    q = u[:, s > MODAL_SPAN_THRESHOLD * s[0]]
+    q = u[:, s > DEFAULT_SVD_THRESHOLD * s[0]]
     m = q.T @ phi
     a = np.real((m * truth.eigs_true) @ np.linalg.pinv(m))
     b_true = truth.b_true

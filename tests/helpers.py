@@ -1,11 +1,15 @@
 """Shared fixtures: benchmark matrices, independent oracles, data builders."""
+import gc
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from dmdc.errors import FormatError, InvalidInputError, ParseError, SingularFrequencyError
-from dmdc.io import _read_text
+from dmdc.io import _decode_text
 from dmdc.rom import SINGULAR_FREQ_TOL, StateSpaceRealization
+from dmdc.synth import gen_random_inputs, gen_random_stable_ss
 
 # Example-1 benchmark: unstable diag(1.5, 0.1) system under u = -x1 feedback,
 # five snapshots from [4, 7].
@@ -70,6 +74,38 @@ def consistent_forced_data(rng, a, b, m):
     return x, a @ x + b @ u, u
 
 
+def sensor_pair(n, m, order=6, l=2, seed=3):
+    """(X, X', U, C B) of a latent order-``order`` system with ``l`` inputs,
+    seen through ``n`` orthonormal channels over ``m`` snapshots."""
+    real, _ = gen_random_stable_ss(order, l, n, seed=seed)
+    ups = gen_random_inputs(l, m, seed=seed + 1)
+    z = np.zeros((order, m))
+    z[:, 0] = np.random.default_rng(seed).standard_normal(order)
+    for k in range(m - 1):
+        z[:, k + 1] = real.a @ z[:, k] + real.b @ ups[:, k]
+    ys = real.c @ z
+    return ys[:, :-1].copy(), ys[:, 1:].copy(), ups, real.c @ real.b
+
+
+def peak_bytes(fn) -> int:
+    """Peak traced bytes that ``fn()`` allocates above what is live before
+    it, its result included. A first untraced call makes the lazy imports
+    and caches of a first call, so they are not counted."""
+    fn()
+    gc.collect()
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn()  # noqa: F841 -- alive at the peak, as a caller's is
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not outer:
+            tracemalloc.stop()
+
+
 def column_sign_match(got, ref, atol):
     """Max column error allowing a per-column sign flip; returns flips."""
     flips = []
@@ -109,7 +145,7 @@ def read_matrix_csv_per_cell(path) -> np.ndarray:
     Oracle for ``dmdc.io.read_matrix_csv``: the per-cell parser alone, with
     no vectorized path.
     """
-    lines = _read_text(path).splitlines()
+    lines = _decode_text(Path(path).read_bytes(), path).splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:

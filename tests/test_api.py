@@ -1,8 +1,11 @@
 """The public surface: what ``from dmdc import *`` promises."""
+import inspect
+
 import dmdc
 
 REMOVED = (
-    "transfer_singular_values", "normalized_modes", "DmdModel", "stack_omega"
+    "transfer_singular_values", "normalized_modes", "DmdModel", "stack_omega",
+    "exact_modes",
 )
 
 
@@ -28,3 +31,8 @@ def test_removed_members_are_gone():
     assert not hasattr(dmdc.DmdcModel, "rank")
     for name in ("to_dict", "from_dict"):
         assert not hasattr(dmdc.ActuationSpec, name)
+    # no name or knob that only the tests used: the cap is a constant, and
+    # the modal span takes the one default SVD threshold
+    assert not hasattr(dmdc.TruncatedSvd, "reconstruct")
+    assert "max_dim" not in inspect.signature(dmdc.DmdcModel.full_operator).parameters
+    assert not hasattr(dmdc.rom, "MODAL_SPAN_THRESHOLD")

@@ -8,11 +8,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmdc import SchemaError, gen_sparse_fourier, realize_truth
+from dmdc import (
+    SchemaError,
+    default_frequency_grid,
+    frequency_response,
+    gen_sparse_fourier,
+    match_eigenvalues,
+    realize,
+    realize_truth,
+)
 from dmdc import cli, errors
 from dmdc import io as dio
 from dmdc.cli import main
-from helpers import EX1_B, EX1_TRAJ, EX1_UPS, EX1_X, EX1_XP, modal_operator
+from helpers import (
+    EX1_B,
+    EX1_TRAJ,
+    EX1_UPS,
+    EX1_X,
+    EX1_XP,
+    modal_operator,
+    peak_bytes,
+    sensor_pair,
+)
 
 
 def _read_table(path):
@@ -242,6 +259,36 @@ def test_example2_freqresp_overlap(tmp_path, capsys):
     assert "max_sigma_relative_gap=" in capsys.readouterr().out
 
 
+def test_tables_carry_the_library_floats_bit_for_bit(tmp_path):
+    ds, fit, cmp, fr = (tmp_path / d for d in ("ds", "fitc", "cmp", "fr"))
+    assert main(["synth", "--example", "2", "--out", str(ds)]) == 0
+    assert main(["fitc", "--x", str(ds / "x.csv"), "--xp", str(ds / "xp.csv"),
+                 "--u", str(ds / "upsilon.csv"), "--out", str(fit)]) == 0
+    assert main(["compare", "--model", str(fit / "model.json"), "--truth",
+                 str(ds / "truth.json"), "--freqresp", "--out", str(cmp)]) == 0
+    assert main(["freqresp", "--model", str(fit / "model.json"), "--out", str(fr)]) == 0
+    record = dio.read_model(fit / "model.json")
+    truth, _ = dio.read_truth(ds / "truth.json")
+    eigs = record.eigenvalues
+    table = fit / "eigenvalues.csv"
+    np.testing.assert_array_equal(_table_floats(table, "re"), eigs.real)
+    np.testing.assert_array_equal(_table_floats(table, "im"), eigs.imag)
+    magnitudes = [abs(z) for z in eigs]  # scalar abs, as the table takes it
+    np.testing.assert_array_equal(_table_floats(table, "magnitude"), magnitudes)
+    _, dists = match_eigenvalues(eigs, truth.eigs_true)
+    np.testing.assert_array_equal(_table_floats(cmp / "eigen_compare.csv", "abs_error"),
+                                  dists)
+    omegas = default_frequency_grid()
+    model_sig = frequency_response(realize(record), omegas).sigmas
+    truth_sig = frequency_response(realize_truth(truth), omegas).sigmas
+    assert model_sig.shape[1] == 2
+    for i in (1, 2):
+        for table, col, sig in ((cmp / "freq_compare.csv", f"sigma{i}_model", model_sig),
+                                (cmp / "freq_compare.csv", f"sigma{i}_ref", truth_sig),
+                                (fr / "freqresp.csv", f"sigma{i}", model_sig)):
+            np.testing.assert_array_equal(_table_floats(table, col), sig[:, i - 1])
+
+
 def test_freqresp_pure_delay(tmp_path):
     for name, mat in (
         ("a.csv", [[0.0]]), ("b.csv", [[1.0]]), ("c.csv", [[1.0]])
@@ -375,6 +422,38 @@ def test_fit_transpose_input(tmp_path):
     ]) == 0
     table = "eigenvalues.csv"
     assert (out_bin / table).read_bytes() == (out / table).read_bytes()
+
+
+def test_transposed_read_holds_two_snapshot_copies(tmp_path):
+    # the sizes of test_fits_hold_no_snapshot_sized_temporaries
+    x, xp, _, _ = sensor_pair(n=8192, m=40)
+    unit = x.nbytes
+    peaks, written = {}, {}
+    writers = {".bin": dio.write_matrix_bin, ".csv": dio.write_matrix_csv}
+    for suffix, write in writers.items():
+        for transposed in (False, True):
+            case = f"{suffix}{'T' if transposed else ''}"
+            files = [tmp_path / f"{name}_{case}{suffix}" for name in ("x", "xp")]
+            for m, path in zip((x, xp), files):
+                write(m.T if transposed else m, path)
+            out = tmp_path / f"fit_{case}"
+            argv = ["fit", "--x", str(files[0]), "--xp", str(files[1]),
+                    "--out", str(out)] + ["--transpose-input"] * transposed
+            if suffix == ".bin":
+                peaks[transposed] = peak_bytes(lambda: main(argv))
+            else:
+                assert main(argv) == 0
+            record = dio.read_model(out / "model.json")
+            written[case] = (
+                {f.name: f.read_bytes() for f in out.iterdir() if f.suffix == ".bin"},
+                (out / "eigenvalues.csv").read_bytes(),
+                record.a_tilde.tobytes(), record.eigenvalues.tobytes(),
+            )
+    # the bytes go before the transposed copy: no third n x m array
+    assert peaks[True] <= peaks[False] + 0.1 * unit
+    # a transposed read hands the fit the same C-ordered array, so the same bits
+    assert written[".binT"] == written[".bin"]
+    assert written[".csvT"] == written[".csv"]
 
 
 def test_compare_two_models_freqresp(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from dmdc import (
     dmd_fit,
     dmdc_fit_known_b,
     dmdc_fit_unknown_b,
-    exact_modes,
     spectral_distance,
     split_trajectory,
 )
+from dmdc.dmd import _exact_modes
 from helpers import (
     EX1_TRAJ,
     EX1_UPS,
@@ -107,7 +109,7 @@ def test_exact_modes_zero_branch_unit():
     )
     lift = np.array([[1.0, 2.0], [3.0, 4.0]])
     zero_basis = np.array([[5.0, 6.0], [7.0, 8.0]])
-    modes = exact_modes(eigen, lift, zero_basis)
+    modes = _exact_modes(eigen, lift, zero_basis)
     np.testing.assert_array_equal(modes[:, 0], lift[:, 0].astype(complex))
     np.testing.assert_array_equal(modes[:, 1], zero_basis[:, 1].astype(complex))
 
@@ -174,9 +176,13 @@ def test_full_operator_cap(kind):
     x, xp, ups = consistent_forced_data(rng, a, b, 12)
     model = _FITS[kind](x, xp, ups, b)
     assert model.kind == kind
+    assert model.full_operator().shape == (6, 6)
+    # factors of 501 rows, one past the cap FULL_OPERATOR_MAX_DIM
+    k = model.op_left.shape[1]
+    tall = dataclasses.replace(model, op_left=np.zeros((501, k)),
+                               op_right=np.zeros((k, 501)))
     with pytest.raises(InvalidInputError):
-        model.full_operator(max_dim=5)
-    assert model.full_operator(max_dim=6).shape == (6, 6)
+        tall.full_operator()
 
 
 def test_fit_errors():

@@ -1,6 +1,3 @@
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -15,7 +12,6 @@ from dmdc import (
     dmdc_fit_unknown_b,
     gen_example1,
     gen_example2,
-    gen_random_inputs,
     gen_random_stable_ss,
     gen_sparse_fourier,
     spectral_distance,
@@ -31,7 +27,9 @@ from helpers import (
     consistent_data,
     consistent_forced_data,
     joint_lstsq_operator,
+    peak_bytes,
     random_diagonalizable,
+    sensor_pair,
 )
 
 SCALAR_X = np.array([1.0, 1.5, -0.25])
@@ -275,55 +273,23 @@ def test_fits_reject_bad_dt(dt):
         dmdc_fit_unknown_b(EX1_X, EX1_XP, EX1_UPS, dt=dt)
 
 
-def _sensor_pair(n, m, order=6, l=2, seed=3):
-    """(X, X', U, C B) of a latent order-``order`` system with ``l`` inputs,
-    seen through ``n`` orthonormal channels over ``m`` snapshots."""
-    real, _ = gen_random_stable_ss(order, l, n, seed=seed)
-    ups = gen_random_inputs(l, m, seed=seed + 1)
-    z = np.zeros((order, m))
-    z[:, 0] = np.random.default_rng(seed).standard_normal(order)
-    for k in range(m - 1):
-        z[:, k + 1] = real.a @ z[:, k] + real.b @ ups[:, k]
-    ys = real.c @ z
-    return ys[:, :-1].copy(), ys[:, 1:].copy(), ups, real.c @ real.b
-
-
-def _peak_bytes(fn) -> int:
-    """Peak traced bytes that ``fn()`` allocates above what is live before
-    it, its result included. A first untraced call makes the lazy imports
-    and caches of a first call, so they are not counted."""
-    fn()
-    gc.collect()
-    outer = tracemalloc.is_tracing()
-    if not outer:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    try:
-        result = fn()  # noqa: F841 -- alive at the peak, as a caller's is
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not outer:
-            tracemalloc.stop()
-
-
 def test_fits_hold_no_snapshot_sized_temporaries():
     # one n x m matrix is the unit; the model itself (basis, G, modes and
     # the input map at rank 6 to 8) is about 0.7 of it
-    x, xp, ups, b = _sensor_pair(n=8192, m=40)
+    x, xp, ups, b = sensor_pair(n=8192, m=40)
     unit = x.nbytes
-    assert _peak_bytes(lambda: dmd_fit(x, xp)) <= 1.2 * unit
+    assert peak_bytes(lambda: dmd_fit(x, xp)) <= 1.2 * unit
     # X' - B U is the one n x m array a known-B fit adds
-    assert _peak_bytes(lambda: dmdc_fit_known_b(x, xp, ups, b)) <= 1.6 * unit
+    assert peak_bytes(lambda: dmdc_fit_known_b(x, xp, ups, b)) <= 1.6 * unit
     # Omega = [X; U] is the one an unknown-B fit adds
-    assert _peak_bytes(lambda: dmdc_fit_unknown_b(x, xp, ups)) <= 2.0 * unit
+    assert peak_bytes(lambda: dmdc_fit_unknown_b(x, xp, ups)) <= 2.0 * unit
 
 
 def test_generated_pairs_are_views_of_one_trajectory():
     ds = gen_sparse_fourier(grid=64, m=40)
     # in total: the trajectory (40/39 of a unit), the truth's modes and the
     # plane waves it is built from
-    assert _peak_bytes(lambda: gen_sparse_fourier(grid=64, m=40)) <= 3.5 * ds.x.nbytes
+    assert peak_bytes(lambda: gen_sparse_fourier(grid=64, m=40)) <= 3.5 * ds.x.nbytes
     traj = np.arange(12.0).reshape(3, 4)
     ex1, ex2 = gen_example1(), gen_example2()
     pairs = [(ds.x, ds.xp), (ex1.x, ex1.xp), split_trajectory(traj), (ex2.x, ex2.xp)]
@@ -339,7 +305,7 @@ def test_generated_pairs_are_views_of_one_trajectory():
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_known_b_targets_are_the_unblocked_formula_bitwise(l):
     # n spans several row blocks, the last one partial
-    x, xp, ups, b = _sensor_pair(n=2 * BLOCK_ROWS + 100, m=30, l=l)
+    x, xp, ups, b = sensor_pair(n=2 * BLOCK_ROWS + 100, m=30, l=l)
     known = dmdc_fit_known_b(x, xp, ups, b)
     plain = dmd_fit(x, xp - b @ ups)
     np.testing.assert_array_equal(known.op_left, plain.op_left)

@@ -43,7 +43,7 @@ def test_rank_one_outer_product_threshold():
     assert f.rank == 1
     np.testing.assert_allclose(f.sigma, [5.0], rtol=1e-12)
     np.testing.assert_allclose(
-        f.reconstruct(), [[1.0, 2.0], [2.0, 4.0]], atol=1e-12
+        (f.u * f.sigma) @ f.v.T, [[1.0, 2.0], [2.0, 4.0]], atol=1e-12
     )
 
 
@@ -59,7 +59,7 @@ def test_orthonormality_and_reconstruction_bound():
         np.testing.assert_allclose(f.v.T @ f.v, np.eye(k), atol=1e-10)
         assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma > 0)
         bound = np.sqrt(np.sum(full[k:] ** 2)) + 1e-9 * full[0]
-        assert np.linalg.norm(a - f.reconstruct(), "fro") <= bound
+        assert np.linalg.norm(a - (f.u * f.sigma) @ f.v.T, "fro") <= bound
 
 
 def test_sign_convention_and_determinism():
@@ -312,7 +312,7 @@ def test_certified_svd_matches_lapack_property(case, data):
     assert np.linalg.norm(got.u.T @ got.u - np.eye(k)) <= 1e-13
     assert np.linalg.norm(got.v.T @ got.v - np.eye(k)) <= 1e-13
     bound = np.sqrt(np.sum(s[k:] ** 2)) + 1e-9 * s[0]
-    assert np.linalg.norm(a - got.reconstruct(), "fro") <= bound
+    assert np.linalg.norm(a - (got.u * got.sigma) @ got.v.T, "fro") <= bound
     for j in range(k):
         assert got.u[np.argmax(np.abs(got.u[:, j])), j] >= 0.0
     for tau in (1e-10, 1e-6):
