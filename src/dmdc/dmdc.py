@@ -1,8 +1,9 @@
 """DMD with control: disambiguate internal dynamics from actuation.
 
 Both estimators run the regression of ``dmd_fit`` and return its model
-type. When the input map B is known, the control contribution is
-subtracted and the regression is plain DMD on corrected targets. When B is
+type. When the input map B is known, the regression is plain DMD on the
+corrected targets X' - B U; it is linear in its target, so the control
+contribution is removed from the gain, not from X'. When B is
 unknown, state and control snapshots are stacked into Omega = [X; U] and
 the same regression on Omega's SVD (input space, rank p), reduced onto the
 leading left singular vectors of X' (output space, rank r), recovers
@@ -16,13 +17,7 @@ import numpy as np
 
 from .dmd import DmdcModel, _checked_pair, _gain, _regress
 from .errors import ShapeError, TruncationOrderError
-from .linalg import (
-    BLOCK_ROWS,
-    TruncationPolicy,
-    _leading_rows_rank,
-    _truncated_svd,
-    as_matrix,
-)
+from .linalg import TruncationPolicy, _leading_rows_rank, _truncated_svd, as_matrix
 
 
 @dataclass(frozen=True)
@@ -49,35 +44,27 @@ def _checked_upsilon(x: np.ndarray, upsilon) -> np.ndarray:
     return ups
 
 
-def _input_corrected(xp: np.ndarray, b: np.ndarray, ups: np.ndarray) -> np.ndarray:
-    """X' - B U, formed in blocks of ``BLOCK_ROWS`` rows: no n x m product
-    is held next to the result, whose bits are those of ``xp - b @ ups``."""
-    target = xp.copy()
-    for i in range(0, target.shape[0], BLOCK_ROWS):
-        target[i:i + BLOCK_ROWS] -= b[i:i + BLOCK_ROWS] @ ups
-    return target
-
-
 def dmdc_fit_known_b(
     x, xp, upsilon, b, trunc: TruncationPolicy = None, dt: float = 1.0
 ) -> DmdcModel:
     """Fit the dynamics when the input map ``b`` is known.
 
-    The control contribution is removed from the shifted snapshots before
-    the regression; with all-zero inputs the result equals ``dmd_fit``
-    exactly. The corrected targets live only while G is formed from them.
+    The regression on X' - B U is linear in its target, so its gain is
+    G = X' V inv(Sigma) - B (U V inv(Sigma)) and no corrected n x m matrix
+    is formed. With all-zero inputs, or none (l = 0), the result equals
+    ``dmd_fit`` exactly.
     """
     x, xp, dt = _checked_pair(x, xp, dt)
     ups = _checked_upsilon(x, upsilon)
     if np.ndim(b) == 1:
         b = np.asarray(b, dtype=np.float64).reshape(-1, 1)
-    b = as_matrix(b, "b", allow_zero_rows=True)
+    b = as_matrix(b, "b", allow_zero_cols=True)
     if b.shape != (x.shape[0], ups.shape[0]):
         raise ShapeError(
             f"b is {b.shape}, expected ({x.shape[0]}, {ups.shape[0]})"
         )
     svd = _truncated_svd(x, trunc)
-    g = _gain(svd, _input_corrected(xp, b, ups))
+    g = _gain(svd, xp) - b @ _gain(svd, ups)
     return _regress(svd, g, svd.u, b, "dmdc-known-b", dt)
 
 

@@ -318,8 +318,11 @@ def _dec_real(v, where: str) -> float:
     return f
 
 
-def _require_finite(**fields) -> None:
-    # json would write NaN or Infinity, which the readers reject.
+def _require_storable(dt, **fields) -> None:
+    # json would write NaN or Infinity, and a dt that is not positive, which
+    # the readers reject.
+    if not _valid_dt(float(dt)):
+        raise InvalidInputError(f"dt must be finite and positive, got {dt!r}")
     for name, v in fields.items():
         if not np.all(np.isfinite(v)):
             raise InvalidInputError(f"{name} contains non-finite entries")
@@ -444,11 +447,12 @@ def write_model(record: ModelRecord, path) -> None:
     The sidecars are ``<stem>_basis.bin``, ``<stem>_modes_re.bin`` and
     ``<stem>_modes_im.bin`` next to ``path``; they are written first and
     the index last. Raises InvalidInputError, before any file is written,
-    if dt, a_tilde, b_tilde or an eigenvalue is not finite.
+    if dt is not finite and positive or a_tilde, b_tilde or an eigenvalue
+    is not finite.
     """
     if record.kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model kind {record.kind!r}")
-    _require_finite(dt=record.dt, a_tilde=record.a_tilde, b_tilde=record.b_tilde,
+    _require_storable(dt=record.dt, a_tilde=record.a_tilde, b_tilde=record.b_tilde,
                     eigenvalues=record.eigenvalues)
     path = Path(path)
     doc = {
@@ -481,9 +485,14 @@ def _read_eigenvalues(doc: dict, path) -> np.ndarray:
     return z
 
 
+def _valid_dt(dt: float) -> bool:
+    """The rule for a stored dt, on write and on read."""
+    return math.isfinite(dt) and dt > 0.0
+
+
 def _read_dt(doc: dict, path) -> float:
     dt = _as_float(_require(doc, "dt", path), f"{path}: dt")
-    if not (math.isfinite(dt) and dt > 0.0):
+    if not _valid_dt(dt):
         raise SchemaError(f"{path}: dt must be finite and positive, got {dt!r}")
     return dt
 
@@ -547,10 +556,10 @@ def read_model(path) -> ModelRecord:
 def write_truth(truth: GroundTruth, path, dt: float = 1.0) -> None:
     """Write ground truth: a JSON index plus sibling binary matrices.
 
-    Raises InvalidInputError, before any file is written, if dt or an
-    eigenvalue is not finite.
+    Raises InvalidInputError, before any file is written, if dt is not
+    finite and positive or an eigenvalue is not finite.
     """
-    _require_finite(dt=dt, eigenvalues=truth.eigs_true)
+    _require_storable(dt=dt, eigenvalues=truth.eigs_true)
     path = Path(path)
     files = {
         "a_true": _write_sidecar(path, "a_true", truth.a_true),

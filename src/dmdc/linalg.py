@@ -33,9 +33,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # only chooses which directions to try: a real direction below it leaves a
 # residual the certificate rejects, so a bad cut costs time, never accuracy.
 _GRAM_CUT = 1e-12
-# Row block of the n x m passes that need no whole n x m temporary: the
-# certificate residual here and the known-B targets in ``dmdc`` (about
-# 1 MB per block at m = 59).
+# Row block of the certificate residual, which so needs no whole n x m
+# temporary (about 1 MB per block at m = 59).
 BLOCK_ROWS = 2048
 
 TruncationPolicy = int | float | None
@@ -98,22 +97,11 @@ class TruncatedSvd:
     spectrum: np.ndarray
     tail_bound: float
 
-    def numerical_rank(self, tau: float = DEFAULT_SVD_THRESHOLD) -> int:
-        """``numerical_rank`` of the factored matrix, read off ``spectrum``.
-
-        The singular values not listed are at most ``tail_bound``, so the
-        count holds for every ``tau`` >= DEFAULT_SVD_THRESHOLD. A smaller
-        ``tau`` that the unlisted values could reach raises
-        InvalidInputError.
-        """
-        rank = _rank_above(self.spectrum, tau)
-        if self.tail_bound >= tau * self.spectrum[0]:
-            raise InvalidInputError(
-                f"threshold {tau} is below the resolved spectrum: unlisted "
-                f"singular values reach {self.tail_bound / self.spectrum[0]:.1e}"
-                f" of the largest"
-            )
-        return rank
+    def numerical_rank(self) -> int:
+        """``numerical_rank`` of the factored matrix, read off ``spectrum``:
+        the count at DEFAULT_SVD_THRESHOLD, which every factorization
+        decides for the unlisted singular values as well."""
+        return _rank_above(self.spectrum, DEFAULT_SVD_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -262,13 +250,12 @@ def _snapshot_svd(a: np.ndarray, rank: int | None, tau: float):
 
     None sends the caller to LAPACK: a shape where the method does not pay,
     a zero matrix or one too large or small to square safely, an explicit
-    rank beyond the lifted directions, more lifted directions than pay,
-    dropped eigenvalues that already rule the certificate out, a failed
-    Cholesky, or a failed check.
+    rank beyond the lifted directions, more lifted directions than pay, a
+    failed eigensolve or Cholesky, or a failed check.
     """
     if not _snapshots_pay(a.shape):
         return None
-    taus, need = {DEFAULT_SVD_THRESHOLD, tau}, rank or 1
+    need = rank or 1
     wide = a.shape[0] < a.shape[1]
     t = a.T if wide else a
     n, m = t.shape
@@ -279,23 +266,13 @@ def _snapshot_svd(a: np.ndarray, rank: int | None, tau: float):
     if not 1e-100 < trace < 1e100:
         return None
     try:
-        # eigenvalues alone decide the exits below at about half eigh's cost
-        w = np.linalg.eigvalsh(gram)  # ascending
+        w, vecs = np.linalg.eigh(gram)  # ascending
         k = int(np.count_nonzero(w > _GRAM_CUT * w[-1]))
         # The lift, CholeskyQR2, Q^T a and the residual cost about 6 n m k
         # flops: near LAPACK's whole SVD once k passes m / 2 (0.77x at k = m
         # on 8192 x 59, 1.45x on 2048 x 199).
         if need > k or 2 * k > m:
             return None
-        # Eckart-Young: the residual of any rank-k basis is at least the sum
-        # of the m - k smallest exact eigenvalues, each within eta of its
-        # computed value; when that sum already exceeds (low sigma_1)^2, with
-        # low the smaller of the two thresholds, the check fails.
-        eta = (n + m) * _EPS * trace
-        low = min(taus)
-        if np.sum(w[: m - k]) - (m - k) * eta > low * low * (w[-1] + eta):
-            return None
-        w, vecs = np.linalg.eigh(gram)
         top = slice(m - 1, m - k - 1, -1)  # the k largest, descending; k < m
         q = _cholesky_qr2(t @ (vecs[:, top] / np.sqrt(w[top])))
     except np.linalg.LinAlgError:
@@ -315,7 +292,7 @@ def _snapshot_svd(a: np.ndarray, rank: int | None, tau: float):
     # the one 0.0 stands for the m - k singular values that are not listed
     listed = np.append(s, 0.0)
     slack = residual + rounding * s[0]
-    if not all(_decided(listed, slack, t) for t in taus):
+    if not all(_decided(listed, slack, c) for c in (DEFAULT_SVD_THRESHOLD, tau)):
         return None
     u, v = q @ ub, vbt.T
     return (v, s, u, residual) if wide else (u, s, v, residual)

@@ -36,3 +36,7 @@ def test_removed_members_are_gone():
     assert not hasattr(dmdc.TruncatedSvd, "reconstruct")
     assert "max_dim" not in inspect.signature(dmdc.DmdcModel.full_operator).parameters
     assert not hasattr(dmdc.rom, "MODAL_SPAN_THRESHOLD")
+    # one certified rank count, at the one threshold the certificate decides,
+    # and no corrected targets beside the known-B gain
+    assert list(inspect.signature(dmdc.TruncatedSvd.numerical_rank).parameters) == ["self"]
+    assert not hasattr(dmdc.dmdc, "_input_corrected")

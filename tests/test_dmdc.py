@@ -17,7 +17,6 @@ from dmdc import (
     spectral_distance,
     split_trajectory,
 )
-from dmdc.linalg import BLOCK_ROWS
 from helpers import (
     EX1_A,
     EX1_B,
@@ -59,6 +58,24 @@ def test_known_b_zero_control_equals_dmd_bitwise():
     np.testing.assert_array_equal(forced.eigen.vectors, plain.eigen.vectors)
     np.testing.assert_array_equal(forced.modes, plain.modes)
     np.testing.assert_array_equal(forced.b_tilde, plain.basis.T @ b)
+
+
+def test_known_b_without_inputs_is_dmd_bitwise():
+    # l = 0: an empty U and an n x 0 input map, as the unknown-B fit takes
+    rng = np.random.default_rng(32)
+    a, _ = random_diagonalizable(rng, 5)
+    x, xp = consistent_data(rng, a, 12)
+    plain = dmd_fit(x, xp)
+    known = dmdc_fit_known_b(x, xp, np.zeros((0, 12)), np.zeros((5, 0)))
+    np.testing.assert_array_equal(known.a_tilde, plain.a_tilde)
+    np.testing.assert_array_equal(known.basis, plain.basis)
+    np.testing.assert_array_equal(known.eigen.values, plain.eigen.values)
+    np.testing.assert_array_equal(known.eigen.vectors, plain.eigen.vectors)
+    np.testing.assert_array_equal(known.modes, plain.modes)
+    assert known.b_tilde.shape == (known.output_rank, 0)
+    assert known.full_input_map().shape == (5, 0)
+    with pytest.raises(ShapeError):
+        dmdc_fit_known_b(x, xp, np.zeros((0, 12)), np.zeros((0, 0)))
 
 
 def test_known_b_scalar_hand_recursion():
@@ -279,8 +296,8 @@ def test_fits_hold_no_snapshot_sized_temporaries():
     x, xp, ups, b = sensor_pair(n=8192, m=40)
     unit = x.nbytes
     assert peak_bytes(lambda: dmd_fit(x, xp)) <= 1.2 * unit
-    # X' - B U is the one n x m array a known-B fit adds
-    assert peak_bytes(lambda: dmdc_fit_known_b(x, xp, ups, b)) <= 1.6 * unit
+    # a known-B fit takes B U off the gain, so it adds no n x m array
+    assert peak_bytes(lambda: dmdc_fit_known_b(x, xp, ups, b)) <= 1.2 * unit
     # Omega = [X; U] is the one an unknown-B fit adds
     assert peak_bytes(lambda: dmdc_fit_unknown_b(x, xp, ups)) <= 2.0 * unit
 
@@ -300,15 +317,3 @@ def test_generated_pairs_are_views_of_one_trajectory():
     assert np.shares_memory(pairs[2][0], traj) and traj.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         ds.x[0, 0] = 1.0
-
-
-@pytest.mark.parametrize("l", [1, 2, 3])
-def test_known_b_targets_are_the_unblocked_formula_bitwise(l):
-    # n spans several row blocks, the last one partial
-    x, xp, ups, b = sensor_pair(n=2 * BLOCK_ROWS + 100, m=30, l=l)
-    known = dmdc_fit_known_b(x, xp, ups, b)
-    plain = dmd_fit(x, xp - b @ ups)
-    np.testing.assert_array_equal(known.op_left, plain.op_left)
-    np.testing.assert_array_equal(known.a_tilde, plain.a_tilde)
-    np.testing.assert_array_equal(known.eigen.vectors, plain.eigen.vectors)
-    np.testing.assert_array_equal(known.modes, plain.modes)

@@ -338,17 +338,21 @@ def _with_nan(value):
 def test_write_model_rejects_non_finite_and_leaves_no_file(tmp_path, field):
     rec, p = _written_model(tmp_path)
     before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-    bad = dataclasses.replace(rec, **{field: _with_nan(getattr(rec, field))})
-    for target in (p, tmp_path / "other.json"):
-        with pytest.raises(InvalidInputError, match=field):
-            dio.write_model(bad, target)
+    # a dt of 0 or below is finite, but the readers reject it too
+    values = [_with_nan(getattr(rec, field))] + ([0.0, -1.0] if field == "dt" else [])
+    for value in values:
+        bad = dataclasses.replace(rec, **{field: value})
+        for target in (p, tmp_path / "other.json"):
+            with pytest.raises(InvalidInputError, match=field):
+                dio.write_model(bad, target)
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
 def test_write_truth_rejects_non_finite_and_leaves_no_file(tmp_path):
     truth = gen_sparse_fourier(grid=4, n_modes=1, m=3, seed=2).truth
-    with pytest.raises(InvalidInputError, match="dt"):
-        dio.write_truth(truth, tmp_path / "truth.json", dt=np.nan)
+    for dt in (np.nan, 0.0, -1.0):
+        with pytest.raises(InvalidInputError, match="dt"):
+            dio.write_truth(truth, tmp_path / "truth.json", dt=dt)
     bad = dataclasses.replace(truth, eigs_true=_with_nan(truth.eigs_true))
     with pytest.raises(InvalidInputError, match="eigenvalues"):
         dio.write_truth(bad, tmp_path / "truth.json")
