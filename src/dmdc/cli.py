@@ -8,7 +8,6 @@ file or format problems (an OSError included), 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
@@ -40,29 +39,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_matrix(path, inputs: dict, key: str, transpose: bool = False,
+def _read_matrix(path, inputs: dict | None, key: str, transpose: bool = False,
                  shift_of: tuple[np.ndarray, bytes] | None = None,
                  ) -> tuple[np.ndarray, bytes | None]:
-    """The matrix in the file at ``path`` and the bytes it was parsed from,
-    whose sha256 is recorded as ``inputs[key]``.
+    """The matrix in the file at ``path`` and, for an untransposed CSV
+    read, the bytes it was parsed from (else None).
+
+    Unless ``inputs`` is None, the sha256 of the bytes is started as soon
+    as they are read (``dio.sha256_digest``) and the pending digest stored
+    as ``inputs[key]``; ``_write_fit`` waits for it. A command that writes no
+    provenance passes None and computes no digest.
 
     ``shift_of`` is X and the CSV bytes it was parsed from, untransposed,
     when ``path`` names its X': a CSV X' is then read as X advanced one
-    column when its bytes show it (``dio.read_shifted_csv``). A transposed
-    read drops the bytes, None in the result, before it copies the matrix
-    in transposed C order, so it holds two n x m arrays, not three.
+    column when its bytes show it (``dio.read_shifted_csv``). A ``.bin``
+    read is a read-only view of its bytes, and transposed it is the
+    view's transpose, with no copy. A transposed CSV read drops the bytes
+    before it copies the matrix in transposed C order.
     """
     path = Path(path)
     if not path.exists():
         raise FormatError(f"{path}: no such file")
     data = path.read_bytes()
-    inputs[key] = "sha256:" + hashlib.sha256(data).hexdigest()
+    if inputs is not None:
+        inputs[key] = dio.sha256_digest(data)
     if path.suffix == ".bin":
         m = dio.read_matrix_bin(path, data)
-    else:
-        m = None if shift_of is None else dio.read_shifted_csv(*shift_of, data)
-        if m is None:
-            m = dio.read_matrix_csv(path, data)
+        return (m.T if transpose else m), None
+    m = None if shift_of is None else dio.read_shifted_csv(*shift_of, data)
+    if m is None:
+        m = dio.read_matrix_csv(path, data)
     if transpose:
         del data
         return m.T.copy(), None
@@ -72,10 +78,9 @@ def _read_matrix(path, inputs: dict, key: str, transpose: bool = False,
 def _read_pair(inputs: dict, x_path, xp_path,
                transpose: bool) -> tuple[np.ndarray, np.ndarray]:
     """Read X and X'. An untransposed CSV X keeps its bytes to read X' as X
-    advanced one column; any other X drops them before X' is read, as they
-    would only raise the peak memory."""
+    advanced one column until X' is read; no other read returns them."""
     x, x_data = _read_matrix(x_path, inputs, "x", transpose)
-    shift_of = None if x_data is None or Path(x_path).suffix == ".bin" else (x, x_data)
+    shift_of = None if x_data is None else (x, x_data)
     del x_data
     return x, _read_matrix(xp_path, inputs, "xp", transpose, shift_of)[0]
 
@@ -194,10 +199,13 @@ def build_parser() -> _Parser:
 
 
 def _write_fit(args, model, inputs: dict, truncation: dict) -> Path:
-    """Create --out and write the model record and its eigenvalue table."""
+    """Create --out and write the model record and its eigenvalue table.
+
+    ``inputs`` maps each input's key to its pending digest, which is
+    waited for here."""
     out = _out_dir(args)
     provenance = {
-        "inputs": inputs,
+        "inputs": {key: "sha256:" + digest.result() for key, digest in inputs.items()},
         "truncation": {k: _trunc_provenance(v) for k, v in truncation.items()},
         "seed": None,
         "transpose_input": bool(args.transpose_input),
@@ -402,11 +410,10 @@ def _cmd_freqresp(args) -> int:
     else:
         if not (args.a and args.b and args.c):
             raise UsageError("need --model or all of --a, --b, --c")
-        inputs = {}
         ss = StateSpaceRealization(
-            a=_read_matrix(args.a, inputs, "a")[0],
-            b=_read_matrix(args.b, inputs, "b")[0],
-            c=_read_matrix(args.c, inputs, "c")[0],
+            a=_read_matrix(args.a, None, "a")[0],
+            b=_read_matrix(args.b, None, "b")[0],
+            c=_read_matrix(args.c, None, "c")[0],
         )
     curve = frequency_response(ss, _omega_grid(args), on_singular="mark")
     k = curve.sigmas.shape[1]

@@ -20,6 +20,14 @@ Each n-sized matrix lives in a sibling ``<stem>_<tag>.bin`` file (complex
 ones split into ``_re`` and ``_im``) that the index names together with
 the sha256 of its bytes, so a stale or edited sidecar is rejected.
 Sidecars are written before the index, each atomically.
+
+A ``.bin`` read returns a read-only column-major view of the file's bytes,
+not a copy: the bytes are the array.
+
+Large digests run on one worker thread (``sha256_digest``). A writer waits
+for its sidecars' digests before it writes the index; a reader checks them
+all, in the order read, before it returns, and raises a mismatch ahead of
+any later fault of the same record, as if each had been checked at once.
 """
 from __future__ import annotations
 
@@ -27,8 +35,10 @@ import hashlib
 import json
 import math
 import os
+import queue
 import secrets
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +72,86 @@ def _atomic_write_bytes(path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+# Data of at least this many bytes is hashed on the worker thread, below it
+# on the calling thread. Handing a digest to the thread costs more than
+# hashing a small buffer: with every digest on the thread, the benchmark's
+# sweep workload, whose files are all about 200 KB, took 9% longer per
+# pass (2-core x86-64 VM, one BLAS thread).
+DIGEST_THREAD_MIN_BYTES = 1 << 20
+
+# The worker thread's queue, made when the first large digest starts it.
+_digest_jobs: queue.SimpleQueue | None = None
+_digest_lock = threading.Lock()
+
+
+def _forget_digest_worker() -> None:
+    global _digest_jobs, _digest_lock
+    # a forked child has no worker thread, and the lock may have been held
+    _digest_jobs, _digest_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_digest_worker)
+
+
+def _hexdigest(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class _Digest:
+    """A hex sha256 digest: ready, or pending on the worker thread."""
+
+    def __init__(self, hexdigest: str | None = None):
+        self._hex = hexdigest
+        self._error = None
+        self._done = None if hexdigest is not None else threading.Event()
+
+    def _compute(self, data) -> None:  # on the worker thread
+        try:
+            self._hex = _hexdigest(data)
+        except BaseException as exc:  # raised again by result(), in the caller
+            self._error = exc
+        self._done.set()
+
+    def result(self) -> str:
+        """The hex digest, once computed; raises what the hash raised."""
+        if self._done is not None:
+            self._done.wait()
+        if self._error is not None:
+            raise self._error
+        return self._hex
+
+
+def _digest_worker(jobs: queue.SimpleQueue) -> None:
+    while True:
+        digest, data = jobs.get()
+        digest._compute(data)
+        del digest, data  # hold no buffer while the queue is empty
+
+
+def sha256_digest(data) -> _Digest:
+    """The hex sha256 of ``data`` (bytes or a bytearray), as an object whose
+    ``result()`` returns it, or raises what the hash raised.
+
+    Data of ``DIGEST_THREAD_MIN_BYTES`` or more is hashed on one worker
+    thread, started on the first such call, while the caller goes on; the
+    caller must leave ``data`` unchanged until ``result()`` returns.
+    Smaller data is hashed before this returns.
+    """
+    global _digest_jobs
+    if len(data) < DIGEST_THREAD_MIN_BYTES:
+        return _Digest(_hexdigest(data))
+    with _digest_lock:
+        if _digest_jobs is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_digest_worker, args=(jobs,),
+                             name="dmdc-sha256", daemon=True).start()
+            _digest_jobs = jobs
+        jobs = _digest_jobs
+    digest = _Digest()
+    jobs.put((digest, data))
+    return digest
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -250,8 +340,9 @@ def read_matrix_bin(path, data: bytes | None = None) -> np.ndarray:
 
     ``data`` is the file's content when the caller has already read it;
     ``path`` then only names the file in messages. The result is a
-    C-ordered copy, made straight from the column-major payload in
-    ``data``: the one n x m array the read adds next to the bytes.
+    read-only column-major view of the payload in ``data``, not a copy:
+    the read adds no n x m array next to the bytes, and a digest of the
+    bytes holds nothing beside the array.
     """
     return _bin_matrix(Path(path).read_bytes() if data is None else data, path)
 
@@ -270,7 +361,8 @@ def _bin_matrix(data: bytes, path) -> np.ndarray:
             f"{path}: payload is {len(data) - 24} bytes, expected {expected}"
         )
     flat = np.frombuffer(data, dtype="<f8", offset=24)
-    return flat.reshape((rows, cols), order="F").copy()
+    flat.flags.writeable = False  # a bytearray's view would be writable
+    return flat.reshape((rows, cols), order="F")
 
 
 # --- index numbers ----------------------------------------------------------
@@ -320,11 +412,12 @@ def _dec_real(v, where: str) -> float:
 
 def _require_storable(dt, **fields) -> None:
     # json would write NaN or Infinity, and a dt that is not positive, which
-    # the readers reject.
+    # the readers reject; a sidecar would keep a non-finite entry that the
+    # fit rejects. Every field is checked before the first file is written.
     if not _valid_dt(float(dt)):
         raise InvalidInputError(f"dt must be finite and positive, got {dt!r}")
     for name, v in fields.items():
-        if not np.all(np.isfinite(v)):
+        if v is not None and not np.all(np.isfinite(v)):
             raise InvalidInputError(f"{name} contains non-finite entries")
 
 
@@ -347,18 +440,56 @@ def _dec_real_matrix(rows, where: str) -> np.ndarray:
 # A sidecar entry in an index is {"file": name, "sha256": hex digest}; a
 # complex matrix is {"re": entry, "im": entry}. Sidecar names are plain
 # ``.bin`` file names resolved next to the index, so an index cannot point
-# a reader elsewhere.
+# a reader elsewhere. A writer's entries hold their pending digests until
+# ``_index_json`` writes them out.
 
 def _write_sidecar(index: Path, tag: str, mat) -> dict | None:
     if mat is None:
         return None
     name = f"{index.stem}_{tag}.bin"
     data = _bin_bytes(mat)
+    digest = sha256_digest(data)  # runs while the file is written
     _atomic_write_bytes(index.parent / name, data)
-    return {"file": name, "sha256": hashlib.sha256(data).hexdigest()}
+    return {"file": name, "sha256": digest}
 
 
-def _read_sidecar(index: Path, entry, where: str) -> np.ndarray | None:
+def _digest_hex(obj) -> str:
+    if isinstance(obj, _Digest):
+        return obj.result()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _index_json(doc: dict) -> str:
+    """The text of an index, each pending sidecar digest waited for."""
+    return json.dumps(doc, indent=1, default=_digest_hex) + "\n"
+
+
+class _SidecarChecks:
+    """The digest checks of one record's sidecars, in the order read.
+
+    Leaving the ``with`` block waits for each digest in that order and
+    raises SchemaError for the first that does not match, in place of any
+    error the block raised: that error came from a later step of the read.
+    """
+
+    def __init__(self):
+        self._pending: list[tuple[_Digest, str, str, Path]] = []
+
+    def add(self, data: bytes, expected: str, where: str, side: Path) -> None:
+        self._pending.append((sha256_digest(data), expected, where, side))
+
+    def __enter__(self) -> "_SidecarChecks":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for digest, expected, where, side in self._pending:
+            if digest.result() != expected:
+                raise SchemaError(
+                    f"{where}: {side} does not match its sha256 digest") from None
+
+
+def _read_sidecar(index: Path, entry, where: str,
+                  checks: _SidecarChecks) -> np.ndarray | None:
     if entry is None:
         return None
     if (
@@ -379,8 +510,7 @@ def _read_sidecar(index: Path, entry, where: str) -> np.ndarray | None:
     except FileNotFoundError:
         raise FormatError(f"{side}: sidecar named by {where} is missing") from None
     mat = _bin_matrix(data, side)
-    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
-        raise SchemaError(f"{where}: {side} does not match its sha256 digest")
+    checks.add(data, entry["sha256"], where, side)
     return mat
 
 
@@ -393,13 +523,14 @@ def _write_complex_sidecars(index: Path, tag: str, z) -> dict | None:
     }
 
 
-def _read_complex_sidecars(index: Path, entry, where: str) -> np.ndarray | None:
+def _read_complex_sidecars(index: Path, entry, where: str,
+                           checks: _SidecarChecks) -> np.ndarray | None:
     if entry is None:
         return None
     if not isinstance(entry, dict) or entry.keys() != {"re", "im"}:
         raise SchemaError(f"{where}: expected {{re, im}} sidecar entries")
-    re_part = _read_sidecar(index, entry["re"], f"{where}.re")
-    im_part = _read_sidecar(index, entry["im"], f"{where}.im")
+    re_part = _read_sidecar(index, entry["re"], f"{where}.re", checks)
+    im_part = _read_sidecar(index, entry["im"], f"{where}.im", checks)
     if re_part is None or im_part is None or re_part.shape != im_part.shape:
         raise SchemaError(f"{where}: needs real and imaginary parts of one shape")
     z = np.empty(re_part.shape, dtype=np.complex128)
@@ -447,13 +578,14 @@ def write_model(record: ModelRecord, path) -> None:
     The sidecars are ``<stem>_basis.bin``, ``<stem>_modes_re.bin`` and
     ``<stem>_modes_im.bin`` next to ``path``; they are written first and
     the index last. Raises InvalidInputError, before any file is written,
-    if dt is not finite and positive or a_tilde, b_tilde or an eigenvalue
-    is not finite.
+    if dt is not finite and positive or an entry of a_tilde, b_tilde, the
+    eigenvalues, the basis or the modes is not finite.
     """
     if record.kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model kind {record.kind!r}")
     _require_storable(dt=record.dt, a_tilde=record.a_tilde, b_tilde=record.b_tilde,
-                    eigenvalues=record.eigenvalues)
+                      eigenvalues=record.eigenvalues, basis=record.basis,
+                      modes=record.modes)
     path = Path(path)
     doc = {
         "kind": record.kind,
@@ -467,7 +599,7 @@ def write_model(record: ModelRecord, path) -> None:
         "modes": _write_complex_sidecars(path, "modes", record.modes),
         "provenance": record.provenance,
     }
-    write_text_atomic(path, json.dumps(doc, indent=1) + "\n")
+    write_text_atomic(path, _index_json(doc))
 
 
 def _require(doc: dict, key: str, path):
@@ -516,40 +648,42 @@ def read_model(path) -> ModelRecord:
     rank_r = _require(doc, "rank_r", path)
     if not all(isinstance(r, int) and not isinstance(r, bool) for r in (rank_p, rank_r)):
         raise SchemaError(f"{path}: ranks must be integers")
-    basis = _read_sidecar(path, _require(doc, "basis", path), f"{path}: basis")
-    modes = _read_complex_sidecars(path, _require(doc, "modes", path), f"{path}: modes")
-    if basis is None or modes is None:
-        raise SchemaError(f"{path}: basis and modes must name sidecars")
-    record = ModelRecord(
-        kind=kind,
-        rank_p=rank_p,
-        rank_r=rank_r,
-        dt=_read_dt(doc, path),
-        a_tilde=_dec_real_matrix(_require(doc, "a_tilde", path), f"{path}: a_tilde"),
-        b_tilde=_dec_real_matrix(_require(doc, "b_tilde", path), f"{path}: b_tilde"),
-        basis=basis,
-        eigenvalues=_read_eigenvalues(doc, path),
-        modes=modes,
-        provenance=_require(doc, "provenance", path),
-    )
-    r = record.a_tilde.shape[0]
-    if record.a_tilde.shape != (r, r):
-        raise SchemaError(f"{path}: a_tilde must be square")
-    if record.basis.shape[1] != r or record.modes.shape[1] != r:
-        raise SchemaError(f"{path}: basis/modes width disagrees with a_tilde")
-    if record.basis.shape[0] != record.modes.shape[0]:
-        raise SchemaError(f"{path}: basis and modes differ in state dimension")
-    if record.eigenvalues.shape[0] != r:
-        raise SchemaError(f"{path}: eigenvalue count disagrees with a_tilde")
-    if record.b_tilde.shape[0] != r:
-        raise SchemaError(f"{path}: b_tilde row count disagrees with a_tilde")
-    if kind == "dmd" and record.b_tilde.shape[1] != 0:
-        raise SchemaError(f"{path}: b_tilde must have zero columns when kind is 'dmd'")
-    if rank_r != r or rank_p < rank_r:
-        raise SchemaError(
-            f"{path}: ranks p={rank_p}, r={rank_r} disagree with a_tilde "
-            f"order {r} (need r = {r} <= p)"
+    with _SidecarChecks() as checks:
+        basis = _read_sidecar(path, _require(doc, "basis", path), f"{path}: basis", checks)
+        modes = _read_complex_sidecars(path, _require(doc, "modes", path),
+                                       f"{path}: modes", checks)
+        if basis is None or modes is None:
+            raise SchemaError(f"{path}: basis and modes must name sidecars")
+        record = ModelRecord(
+            kind=kind,
+            rank_p=rank_p,
+            rank_r=rank_r,
+            dt=_read_dt(doc, path),
+            a_tilde=_dec_real_matrix(_require(doc, "a_tilde", path), f"{path}: a_tilde"),
+            b_tilde=_dec_real_matrix(_require(doc, "b_tilde", path), f"{path}: b_tilde"),
+            basis=basis,
+            eigenvalues=_read_eigenvalues(doc, path),
+            modes=modes,
+            provenance=_require(doc, "provenance", path),
         )
+        r = record.a_tilde.shape[0]
+        if record.a_tilde.shape != (r, r):
+            raise SchemaError(f"{path}: a_tilde must be square")
+        if record.basis.shape[1] != r or record.modes.shape[1] != r:
+            raise SchemaError(f"{path}: basis/modes width disagrees with a_tilde")
+        if record.basis.shape[0] != record.modes.shape[0]:
+            raise SchemaError(f"{path}: basis and modes differ in state dimension")
+        if record.eigenvalues.shape[0] != r:
+            raise SchemaError(f"{path}: eigenvalue count disagrees with a_tilde")
+        if record.b_tilde.shape[0] != r:
+            raise SchemaError(f"{path}: b_tilde row count disagrees with a_tilde")
+        if kind == "dmd" and record.b_tilde.shape[1] != 0:
+            raise SchemaError(f"{path}: b_tilde must have zero columns when kind is 'dmd'")
+        if rank_r != r or rank_p < rank_r:
+            raise SchemaError(
+                f"{path}: ranks p={rank_p}, r={rank_r} disagree with a_tilde "
+                f"order {r} (need r = {r} <= p)"
+            )
     return record
 
 
@@ -557,9 +691,12 @@ def write_truth(truth: GroundTruth, path, dt: float = 1.0) -> None:
     """Write ground truth: a JSON index plus sibling binary matrices.
 
     Raises InvalidInputError, before any file is written, if dt is not
-    finite and positive or an eigenvalue is not finite.
+    finite and positive or an entry of the eigenvalues, a_true, b_true,
+    c_true or modes_true is not finite.
     """
-    _require_storable(dt=dt, eigenvalues=truth.eigs_true)
+    _require_storable(dt=dt, eigenvalues=truth.eigs_true, a_true=truth.a_true,
+                      b_true=truth.b_true, c_true=truth.c_true,
+                      modes_true=truth.modes_true)
     path = Path(path)
     files = {
         "a_true": _write_sidecar(path, "a_true", truth.a_true),
@@ -574,7 +711,7 @@ def write_truth(truth: GroundTruth, path, dt: float = 1.0) -> None:
         "eigenvalues": _complex_rows(truth.eigs_true),
         "files": files,
     }
-    write_text_atomic(path, json.dumps(doc, indent=1) + "\n")
+    write_text_atomic(path, _index_json(doc))
 
 
 def read_truth(path) -> tuple[GroundTruth, float]:
@@ -598,32 +735,33 @@ def read_truth(path) -> tuple[GroundTruth, float]:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SchemaError(f"{path}: seed must be an integer")
 
-    def _load(tag: str):
-        return _read_sidecar(path, files.get(tag), f"{path}: files.{tag}")
+    with _SidecarChecks() as checks:
+        def _load(tag: str):
+            return _read_sidecar(path, files.get(tag), f"{path}: files.{tag}", checks)
 
-    truth = GroundTruth(
-        a_true=_load("a_true"),
-        b_true=_load("b_true"),
-        c_true=_load("c_true"),
-        eigs_true=_read_eigenvalues(doc, path),
-        modes_true=_read_complex_sidecars(
-            path, files.get("modes_true"), f"{path}: files.modes_true"
-        ),
-        seed=seed,
-    )
-    dt = _read_dt(doc, path)
-    a, modes = truth.a_true, truth.modes_true
-    sides = (("a_true rows", a, 0), ("a_true columns", a, 1),
-             ("b_true rows", truth.b_true, 0), ("c_true columns", truth.c_true, 1),
-             ("modes_true rows", modes, 0))
-    dims = {tag: m.shape[axis] for tag, m, axis in sides if m is not None}
-    if len(set(dims.values())) > 1:
-        raise SchemaError(f"{path}: sidecars disagree on the state dimension: {dims}")
-    if modes is not None and modes.shape[1] != truth.eigs_true.size:
-        raise SchemaError(f"{path}: modes_true has {modes.shape[1]} columns for "
-                          f"{truth.eigs_true.size} eigenvalues")
-    if a is not None and a.shape[0] != truth.eigs_true.size:
-        raise SchemaError(f"{path}: a_true has order {a.shape[0]} for "
-                          f"{truth.eigs_true.size} eigenvalues; a truth from an "
-                          "older version must be regenerated with synth")
+        truth = GroundTruth(
+            a_true=_load("a_true"),
+            b_true=_load("b_true"),
+            c_true=_load("c_true"),
+            eigs_true=_read_eigenvalues(doc, path),
+            modes_true=_read_complex_sidecars(
+                path, files.get("modes_true"), f"{path}: files.modes_true", checks
+            ),
+            seed=seed,
+        )
+        dt = _read_dt(doc, path)
+        a, modes = truth.a_true, truth.modes_true
+        sides = (("a_true rows", a, 0), ("a_true columns", a, 1),
+                 ("b_true rows", truth.b_true, 0), ("c_true columns", truth.c_true, 1),
+                 ("modes_true rows", modes, 0))
+        dims = {tag: m.shape[axis] for tag, m, axis in sides if m is not None}
+        if len(set(dims.values())) > 1:
+            raise SchemaError(f"{path}: sidecars disagree on the state dimension: {dims}")
+        if modes is not None and modes.shape[1] != truth.eigs_true.size:
+            raise SchemaError(f"{path}: modes_true has {modes.shape[1]} columns for "
+                              f"{truth.eigs_true.size} eigenvalues")
+        if a is not None and a.shape[0] != truth.eigs_true.size:
+            raise SchemaError(f"{path}: a_true has order {a.shape[0]} for "
+                              f"{truth.eigs_true.size} eigenvalues; a truth from an "
+                              "older version must be regenerated with synth")
     return truth, dt

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
 import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,10 @@ import pytest
 
 from dmdc import (
     SchemaError,
+    StateSpaceRealization,
     default_frequency_grid,
     frequency_response,
+    gen_example2,
     gen_sparse_fourier,
     match_eigenvalues,
     realize,
@@ -449,9 +453,9 @@ def test_transposed_read_holds_two_snapshot_copies(tmp_path):
                 (out / "eigenvalues.csv").read_bytes(),
                 record.a_tilde.tobytes(), record.eigenvalues.tobytes(),
             )
-    # the bytes go before the transposed copy: no third n x m array
+    # a transposed .bin read is the view's transpose: no third n x m array
     assert peaks[True] <= peaks[False] + 0.1 * unit
-    # a transposed read hands the fit the same C-ordered array, so the same bits
+    # a transposed read hands the fit the same matrix, so the same bits
     assert written[".binT"] == written[".bin"]
     assert written[".csvT"] == written[".csv"]
 
@@ -555,7 +559,6 @@ def test_cold_start_loads_scipy_only_for_freqresp_and_compare(tmp_path):
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
 def test_fitc_reads_each_input_once_and_records_its_digest(tmp_path, monkeypatch, suffix):
     import builtins
-    import hashlib
     import io
 
     write = dio.write_matrix_csv if suffix == ".csv" else dio.write_matrix_bin
@@ -587,6 +590,114 @@ def test_fitc_reads_each_input_once_and_records_its_digest(tmp_path, monkeypatch
         key: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
         for key, path in files.items()
     }
+
+
+def test_fit_on_large_inputs_records_their_digests(tmp_path, monkeypatch):
+    # files past the cut are hashed on the worker thread while the fit runs
+    ds = gen_sparse_fourier(grid=64, n_modes=3, m=40, seed=6)
+    files = {"x": tmp_path / "x.bin", "xp": tmp_path / "xp.bin"}
+    for key, path in files.items():
+        dio.write_matrix_bin(getattr(ds, key), path)
+        assert path.stat().st_size >= dio.DIGEST_THREAD_MIN_BYTES
+    hashed_on = []
+    real = dio._hexdigest
+
+    def recording(data):
+        hashed_on.append(threading.current_thread().name)
+        return real(data)
+
+    monkeypatch.setattr(dio, "_hexdigest", recording)
+    out = tmp_path / "fit"
+    assert main(["fit", "--x", str(files["x"]), "--xp", str(files["xp"]),
+                 "--out", str(out)]) == 0
+    assert hashed_on.count("dmdc-sha256") >= 2
+    inputs = dio.read_model(out / "model.json").provenance["inputs"]
+    assert inputs == {
+        key: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+        for key, path in files.items()
+    }
+
+
+def test_fit_on_small_inputs_starts_no_thread(tmp_path, monkeypatch):
+    for name, m in (("x", EX1_X), ("xp", EX1_XP), ("u", EX1_UPS)):
+        dio.write_matrix_csv(m, tmp_path / f"{name}.csv")
+
+    def no_thread(self):
+        raise AssertionError(f"started thread {self.name}")
+
+    monkeypatch.setattr(dio, "_digest_jobs", None)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert main(["fitc", "--x", str(tmp_path / "x.csv"), "--xp", str(tmp_path / "xp.csv"),
+                 "--u", str(tmp_path / "u.csv"), "--out", str(tmp_path / "fitc")]) == 0
+    assert main(["compare", "--model", str(tmp_path / "fitc" / "model.json"),
+                 "--model2", str(tmp_path / "fitc" / "model.json"),
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert dio._digest_jobs is None
+
+
+def test_input_digest_error_surfaces_from_the_cli(tmp_path, monkeypatch):
+    dio.write_matrix_csv(EX1_X, tmp_path / "x.csv")
+    dio.write_matrix_csv(EX1_XP, tmp_path / "xp.csv")
+
+    class Boom(Exception):
+        pass
+
+    def failing(data):
+        raise Boom("hash failed")
+
+    monkeypatch.setattr(dio, "DIGEST_THREAD_MIN_BYTES", 0)
+    monkeypatch.setattr(dio, "_hexdigest", failing)
+    out = tmp_path / "fit"
+    with pytest.raises(Boom):
+        main(["fit", "--x", str(tmp_path / "x.csv"), "--xp", str(tmp_path / "xp.csv"),
+              "--out", str(out)])
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("cut", ["default", "worker"])
+def test_replaced_sidecar_fails_compare_and_freqresp(tmp_path, monkeypatch, capsys, cut):
+    if cut == "worker":
+        monkeypatch.setattr(dio, "DIGEST_THREAD_MIN_BYTES", 0)
+    ds = tmp_path / "ds"
+    assert main(["synth", "--example", "3", "--grid", "16", "--modes", "2",
+                 "--m", "20", "--out", str(ds)]) == 0
+    fit = tmp_path / "fitc"
+    assert main(["fitc", "--x", str(ds / "x.bin"), "--xp", str(ds / "xp.bin"),
+                 "--u", str(ds / "upsilon.csv"), "--out", str(fit)]) == 0
+    basis = dio.read_matrix_bin(fit / "model_basis.bin")
+    # a well-formed matrix of the same shape, but not the one indexed
+    dio.write_matrix_bin(-basis, fit / "model_basis.bin")
+    capsys.readouterr()
+    for argv in (["compare", "--model", str(fit / "model.json"),
+                  "--truth", str(ds / "truth.json"), "--out", str(tmp_path / "cmp")],
+                 ["freqresp", "--model", str(fit / "model.json"),
+                  "--out", str(tmp_path / "fr")]):
+        assert main(argv) == 2
+        assert "model_basis.bin does not match its sha256 digest" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists() and not (tmp_path / "fr").exists()
+
+
+def test_freqresp_from_matrices_computes_no_digest(tmp_path, monkeypatch):
+    truth = gen_example2(n=3, l=1, q=6, m=10, seed=1).truth
+    names = {"a": truth.a_true, "b": truth.b_true, "c": truth.c_true}
+    for name, m in names.items():
+        dio.write_matrix_csv(m, tmp_path / f"{name}.csv")
+
+    def no_digest(data):
+        raise AssertionError("freqresp --a/--b/--c computed a digest")
+
+    monkeypatch.setattr(dio, "sha256_digest", no_digest)
+    monkeypatch.setattr(hashlib, "sha256", no_digest)
+    out = tmp_path / "fr"
+    assert main(["freqresp", *[f"--{k}={tmp_path / k}.csv" for k in names],
+                 "--out", str(out)]) == 0
+    monkeypatch.undo()
+    ss = StateSpaceRealization(*(dio.read_matrix_csv(tmp_path / f"{k}.csv") for k in names))
+    sig = frequency_response(ss, default_frequency_grid()).sigmas
+    header, body = _read_table(out / "freqresp.csv")
+    assert header == ["omega", "status", "sigma1"]
+    assert [row[1] for row in body] == ["ok"] * len(sig)
+    np.testing.assert_array_equal(_table_floats(out / "freqresp.csv", "sigma1"), sig[:, 0])
 
 
 def _example2_pair(tmp_path, case):

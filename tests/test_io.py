@@ -3,7 +3,9 @@ import copy
 import hashlib
 import json
 import struct
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +99,7 @@ def test_bin_scalar_file_size(tmp_path):
 
 def test_bin_round_trip_snapshot_bitwise(tmp_path):
     # The file is magic, dims and the column-major float64 payload whatever
-    # the array's layout, and reads back as a C-ordered array of its own.
+    # the array's layout, and reads back as a read-only view of those bytes.
     rng = np.random.default_rng(29)
     z = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     layouts = {
@@ -115,7 +117,8 @@ def test_bin_round_trip_snapshot_bitwise(tmp_path):
         dio.write_matrix_bin(a, p)
         assert p.read_bytes() == expected, name
         back = dio.read_matrix_bin(p)
-        assert back.flags.c_contiguous and back.flags.owndata, name
+        assert not back.flags.writeable and not back.flags.owndata, name
+        assert back.flags.f_contiguous and back.tobytes(order="F") == payload, name
         assert back.shape == a.shape and back.tobytes() == a.astype("<f8").tobytes(), name
         # a sidecar is the same bytes, and its index records their digest
         truth = GroundTruth(
@@ -357,6 +360,121 @@ def test_write_truth_rejects_non_finite_and_leaves_no_file(tmp_path):
     with pytest.raises(InvalidInputError, match="eigenvalues"):
         dio.write_truth(bad, tmp_path / "truth.json")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field", ["basis", "modes"])
+def test_write_model_checks_every_sidecar_before_the_first_write(tmp_path, field):
+    rec = list(_records())[2]
+    bad = dataclasses.replace(rec, **{field: _with_nan(getattr(rec, field))})
+    with pytest.raises(InvalidInputError, match=field):
+        dio.write_model(bad, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field", ["a_true", "b_true", "c_true", "modes_true"])
+def test_write_truth_checks_every_sidecar_before_the_first_write(tmp_path, field):
+    # example 2 stores a_true, b_true and c_true; example 3 b_true and modes
+    latent = gen_example2(n=3, l=1, q=6, m=10, seed=1).truth
+    modal = gen_sparse_fourier(grid=4, n_modes=1, m=3, seed=2).truth
+    truth = modal if field == "modes_true" else latent
+    bad = dataclasses.replace(truth, **{field: _with_nan(getattr(truth, field))})
+    with pytest.raises(InvalidInputError, match=field):
+        dio.write_truth(bad, tmp_path / "truth.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(params=["inline", "worker"])
+def digest_route(request, monkeypatch):
+    """Hash sidecars as the small files they are, or all on the worker."""
+    if request.param == "worker":
+        monkeypatch.setattr(dio, "DIGEST_THREAD_MIN_BYTES", 0)
+    return request.param
+
+
+def test_worker_digest_error_surfaces_from_writer_and_reader(tmp_path, monkeypatch):
+    rec, p = _written_model(tmp_path)
+
+    class Boom(Exception):
+        pass
+
+    threads = []
+
+    def failing(data):
+        threads.append(threading.current_thread())
+        raise Boom("hash failed")
+
+    monkeypatch.setattr(dio, "DIGEST_THREAD_MIN_BYTES", 0)
+    monkeypatch.setattr(dio, "_hexdigest", failing)
+    with pytest.raises(Boom):
+        dio.read_model(p)
+    with pytest.raises(Boom):
+        dio.write_model(rec, tmp_path / "other.json")
+    assert not (tmp_path / "other.json").exists()
+    assert threads and threading.main_thread() not in threads
+
+
+def test_racing_first_digests_start_one_worker(monkeypatch):
+    # threads racing to the first large digest start one worker between
+    # them, and every digest they get back is right
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(self):
+        if self.name == "dmdc-sha256":
+            started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(dio, "_digest_jobs", None)
+    monkeypatch.setattr(dio, "DIGEST_THREAD_MIN_BYTES", 0)
+    blobs = [bytes([i]) * (1000 + i) for i in range(8)]
+    results = {}
+    barrier = threading.Barrier(len(blobs))
+
+    def work(i):
+        barrier.wait(timeout=10)
+        results[i] = [dio.sha256_digest(blobs[i]).result() for _ in range(20)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(blobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(started) == 1
+    assert results == {i: [hashlib.sha256(b).hexdigest()] * 20
+                       for i, b in enumerate(blobs)}
+
+
+def test_model_digest_mismatch_outranks_a_later_fault(tmp_path, digest_route):
+    # the basis is checked before the modes are read, so its mismatch is the
+    # error even when a modes sidecar is missing as well
+    rec, p = _written_model(tmp_path)
+    dio.write_matrix_bin(rec.basis + 1.0, tmp_path / "model_basis.bin")
+    (tmp_path / "model_modes_im.bin").unlink()
+    with pytest.raises(SchemaError, match="basis: .* does not match its sha256 digest"):
+        dio.read_model(p)
+    # with the basis intact, the missing file is the first fault
+    dio.write_matrix_bin(rec.basis, tmp_path / "model_basis.bin")
+    with pytest.raises(FormatError, match="model_modes_im.bin"):
+        dio.read_model(p)
+
+
+def test_truth_digest_mismatch_outranks_a_later_fault(tmp_path, digest_route):
+    ds = gen_example2(n=3, l=1, q=6, m=10, seed=1)
+    p = tmp_path / "truth.json"
+    dio.write_truth(ds.truth, p, dt=ds.dt)
+    dio.write_matrix_bin(2.0 * ds.truth.a_true, tmp_path / "truth_a_true.bin")
+    doc = json.loads(p.read_text())
+    doc["eigenvalues"] = "not rows"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="a_true: .* does not match its sha256 digest"):
+        dio.read_truth(p)
 
 
 def test_model_is_index_plus_sidecars(tmp_path):
