@@ -53,9 +53,8 @@ def _read_matrix(path, inputs: dict | None, key: str, transpose: bool = False,
     ``shift_of`` is X and the CSV bytes it was parsed from, untransposed,
     when ``path`` names its X': a CSV X' is then read as X advanced one
     column when its bytes show it (``dio.read_shifted_csv``). A ``.bin``
-    read is a read-only view of its bytes, and transposed it is the
-    view's transpose, with no copy. A transposed CSV read drops the bytes
-    before it copies the matrix in transposed C order.
+    read is a read-only view of its bytes. A transposed read of either
+    format is the transpose of the matrix read, a view with no copy.
     """
     path = Path(path)
     if not path.exists():
@@ -64,15 +63,12 @@ def _read_matrix(path, inputs: dict | None, key: str, transpose: bool = False,
     if inputs is not None:
         inputs[key] = dio.sha256_digest(data)
     if path.suffix == ".bin":
-        m = dio.read_matrix_bin(path, data)
-        return (m.T if transpose else m), None
-    m = None if shift_of is None else dio.read_shifted_csv(*shift_of, data)
-    if m is None:
-        m = dio.read_matrix_csv(path, data)
-    if transpose:
-        del data
-        return m.T.copy(), None
-    return m, data
+        m, data = dio.read_matrix_bin(path, data), None
+    else:
+        m = None if shift_of is None else dio.read_shifted_csv(*shift_of, data)
+        if m is None:
+            m = dio.read_matrix_csv(path, data)
+    return (m.T, None) if transpose else (m, data)
 
 
 def _read_pair(inputs: dict, x_path, xp_path,
@@ -166,16 +162,19 @@ def build_parser() -> _Parser:
     p_fitc.add_argument("--b-matrix", help="known input map file (enables known-B path)")
     _add_common(p_fitc, ranks=("p", "r"))
 
-    p_synth = sub.add_parser("synth", help="generate a benchmark dataset")
+    # a generator flag that is not given is not set, so the generator's
+    # own default applies
+    p_synth = sub.add_parser("synth", help="generate a benchmark dataset",
+                             argument_default=argparse.SUPPRESS)
     p_synth.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--m", type=int, default=None, help="snapshot count")
-    p_synth.add_argument("--dt", type=float, default=1.0)
-    p_synth.add_argument("--n", type=int, default=5, help="example 2 state dim")
-    p_synth.add_argument("--l", type=int, default=2, help="example 2 input dim")
-    p_synth.add_argument("--q", type=int, default=100, help="example 2 output dim")
-    p_synth.add_argument("--grid", type=int, default=128, help="example 3 grid size")
-    p_synth.add_argument("--modes", type=int, default=5, help="example 3 mode count")
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--m", type=int, help="snapshot count")
+    p_synth.add_argument("--dt", type=float)
+    p_synth.add_argument("--n", type=int, help="example 2 state dim")
+    p_synth.add_argument("--l", type=int, help="example 2 input dim")
+    p_synth.add_argument("--q", type=int, help="example 2 output dim")
+    p_synth.add_argument("--grid", type=int, help="example 3 grid size")
+    p_synth.add_argument("--modes", type=int, help="example 3 mode count")
     p_synth.add_argument("--actuation", help="example 3 actuation spec JSON file")
     p_synth.add_argument("--out", required=True, help="output directory")
 
@@ -278,28 +277,24 @@ def _cmd_fitc(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.example == 1:
-        m = args.m if args.m is not None else 5
-        ds = gen_example1(m=m, dt=args.dt)
-        binary = False
-    elif args.example == 2:
-        m = args.m if args.m is not None else 101
-        ds = gen_example2(
-            n=args.n, l=args.l, q=args.q, m=m, seed=args.seed, dt=args.dt
-        )
-        binary = False
-    else:
-        m = args.m if args.m is not None else 60
-        act = None
-        if args.actuation is not None:
-            act = dio.read_actuation_spec(args.actuation)
-        ds = gen_sparse_fourier(
-            grid=args.grid, n_modes=args.modes, m=m, seed=args.seed,
-            actuation=act, dt=args.dt,
-        )
-        binary = True
+    # each example's generator and the flags it takes (--modes is n_modes)
+    gen, takes = {
+        1: (gen_example1, ("m", "dt")),
+        2: (gen_example2, ("n", "l", "q", "m", "seed", "dt")),
+        3: (gen_sparse_fourier, ("grid", "modes", "m", "seed", "actuation", "dt")),
+    }[args.example]
+    kwargs = {k: v for k, v in vars(args).items()
+              if k not in ("command", "example", "out")}
+    for flag in kwargs:
+        if flag not in takes:
+            raise UsageError(f"example {args.example} takes no --{flag}")
+    if "actuation" in kwargs:
+        kwargs["actuation"] = dio.read_actuation_spec(kwargs["actuation"])
+    if "modes" in kwargs:
+        kwargs["n_modes"] = kwargs.pop("modes")
+    ds = gen(**kwargs)
     out = _out_dir(args)
-    if binary:
+    if args.example == 3:
         dio.write_matrix_bin(ds.x, out / "x.bin")
         dio.write_matrix_bin(ds.xp, out / "xp.bin")
         names = ("x.bin", "xp.bin")
@@ -326,6 +321,7 @@ def _record_realization(record: dio.ModelRecord) -> StateSpaceRealization:
 def _cmd_compare(args) -> int:
     if (args.truth is None) == (args.model2 is None):
         raise UsageError("need exactly one of --truth or --model2")
+    omegas = _omega_grid(args)
     record = dio.read_model(args.model)
     if args.truth is not None:
         truth, _ = dio.read_truth(args.truth)
@@ -357,7 +353,6 @@ def _cmd_compare(args) -> int:
     if ref_modes is not None:
         sims = mode_cosine_similarities(record.modes, ref_modes[:, perm])
     if args.freqresp:
-        omegas = _omega_grid(args)
         ss_a = _record_realization(record)
         if args.truth is not None:
             ss_b = realize_truth(truth)

@@ -116,10 +116,15 @@ def _exact_modes(
     return modes
 
 
+def _valid_dt(dt: float) -> bool:
+    """The rule for every dt, fitted, generated, written or read."""
+    return math.isfinite(dt) and dt > 0.0
+
+
 def _checked_dt(dt) -> float:
-    """``dt`` as a float, the rule of every fit and generator: finite, positive."""
+    """``dt`` as a float, as every fit and generator takes it."""
     value = float(dt)
-    if not (math.isfinite(value) and value > 0.0):
+    if not _valid_dt(value):
         raise InvalidConfigError(f"dt must be finite and positive, got {dt!r}")
     return value
 

@@ -25,9 +25,10 @@ A ``.bin`` read returns a read-only column-major view of the file's bytes,
 not a copy: the bytes are the array.
 
 Large digests run on one worker thread (``sha256_digest``). A writer waits
-for its sidecars' digests before it writes the index; a reader checks them
-all, in the order read, before it returns, and raises a mismatch ahead of
-any later fault of the same record, as if each had been checked at once.
+for its sidecars' digests before it writes the index. A reader keeps a list
+of its pending sidecar checks and runs them in ``finally``, in the order
+read: a mismatch is raised in place of any later fault of the same record,
+as if each sidecar had been checked at once.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dmd import _valid_dt
 from .errors import FormatError, InvalidInputError, LengthError, ParseError, SchemaError
 from .linalg import as_matrix
 from .synth import ActuationSpec, GroundTruth
@@ -344,10 +346,8 @@ def read_matrix_bin(path, data: bytes | None = None) -> np.ndarray:
     the read adds no n x m array next to the bytes, and a digest of the
     bytes holds nothing beside the array.
     """
-    return _bin_matrix(Path(path).read_bytes() if data is None else data, path)
-
-
-def _bin_matrix(data: bytes, path) -> np.ndarray:
+    if data is None:
+        data = Path(path).read_bytes()
     if len(data) < 8 or data[:8] != BIN_MAGIC:
         raise FormatError(f"{path}: bad magic bytes")
     if len(data) < 24:
@@ -464,32 +464,18 @@ def _index_json(doc: dict) -> str:
     return json.dumps(doc, indent=1, default=_digest_hex) + "\n"
 
 
-class _SidecarChecks:
-    """The digest checks of one record's sidecars, in the order read.
-
-    Leaving the ``with`` block waits for each digest in that order and
-    raises SchemaError for the first that does not match, in place of any
-    error the block raised: that error came from a later step of the read.
-    """
-
-    def __init__(self):
-        self._pending: list[tuple[_Digest, str, str, Path]] = []
-
-    def add(self, data: bytes, expected: str, where: str, side: Path) -> None:
-        self._pending.append((sha256_digest(data), expected, where, side))
-
-    def __enter__(self) -> "_SidecarChecks":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for digest, expected, where, side in self._pending:
-            if digest.result() != expected:
-                raise SchemaError(
-                    f"{where}: {side} does not match its sha256 digest") from None
+def _check_sidecars(checks: list) -> None:
+    """Wait for each pending (digest, expected, where, sidecar) check in the
+    order read and raise SchemaError for the first that does not match.
+    A reader calls this in ``finally``, so a mismatch replaces any error
+    the read raised: that error came from a later step of the read."""
+    for digest, expected, where, side in checks:
+        if digest.result() != expected:
+            raise SchemaError(
+                f"{where}: {side} does not match its sha256 digest") from None
 
 
-def _read_sidecar(index: Path, entry, where: str,
-                  checks: _SidecarChecks) -> np.ndarray | None:
+def _read_sidecar(index: Path, entry, where: str, checks: list) -> np.ndarray | None:
     if entry is None:
         return None
     if (
@@ -509,8 +495,8 @@ def _read_sidecar(index: Path, entry, where: str,
         data = side.read_bytes()
     except FileNotFoundError:
         raise FormatError(f"{side}: sidecar named by {where} is missing") from None
-    mat = _bin_matrix(data, side)
-    checks.add(data, entry["sha256"], where, side)
+    mat = read_matrix_bin(side, data)
+    checks.append((sha256_digest(data), entry["sha256"], where, side))
     return mat
 
 
@@ -524,7 +510,7 @@ def _write_complex_sidecars(index: Path, tag: str, z) -> dict | None:
 
 
 def _read_complex_sidecars(index: Path, entry, where: str,
-                           checks: _SidecarChecks) -> np.ndarray | None:
+                           checks: list) -> np.ndarray | None:
     if entry is None:
         return None
     if not isinstance(entry, dict) or entry.keys() != {"re", "im"}:
@@ -617,11 +603,6 @@ def _read_eigenvalues(doc: dict, path) -> np.ndarray:
     return z
 
 
-def _valid_dt(dt: float) -> bool:
-    """The rule for a stored dt, on write and on read."""
-    return math.isfinite(dt) and dt > 0.0
-
-
 def _read_dt(doc: dict, path) -> float:
     dt = _as_float(_require(doc, "dt", path), f"{path}: dt")
     if not _valid_dt(dt):
@@ -648,7 +629,8 @@ def read_model(path) -> ModelRecord:
     rank_r = _require(doc, "rank_r", path)
     if not all(isinstance(r, int) and not isinstance(r, bool) for r in (rank_p, rank_r)):
         raise SchemaError(f"{path}: ranks must be integers")
-    with _SidecarChecks() as checks:
+    checks = []
+    try:
         basis = _read_sidecar(path, _require(doc, "basis", path), f"{path}: basis", checks)
         modes = _read_complex_sidecars(path, _require(doc, "modes", path),
                                        f"{path}: modes", checks)
@@ -684,6 +666,8 @@ def read_model(path) -> ModelRecord:
                 f"{path}: ranks p={rank_p}, r={rank_r} disagree with a_tilde "
                 f"order {r} (need r = {r} <= p)"
             )
+    finally:
+        _check_sidecars(checks)
     return record
 
 
@@ -735,7 +719,8 @@ def read_truth(path) -> tuple[GroundTruth, float]:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SchemaError(f"{path}: seed must be an integer")
 
-    with _SidecarChecks() as checks:
+    checks = []
+    try:
         def _load(tag: str):
             return _read_sidecar(path, files.get(tag), f"{path}: files.{tag}", checks)
 
@@ -764,4 +749,6 @@ def read_truth(path) -> tuple[GroundTruth, float]:
             raise SchemaError(f"{path}: a_true has order {a.shape[0]} for "
                               f"{truth.eigs_true.size} eigenvalues; a truth from an "
                               "older version must be regenerated with synth")
+    finally:
+        _check_sidecars(checks)
     return truth, dt

@@ -95,6 +95,29 @@ def test_synth_invalid_params_is_usage_error(tmp_path, capsys):
         assert code == 1
         assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
         assert not out.exists()
+    # a flag the example's generator does not take is refused, not dropped
+    for example, flag, value in (("1", "--seed", "3"),
+                                 ("1", "--actuation", str(tmp_path / "missing.json")),
+                                 ("2", "--grid", "64"), ("3", "--q", "7")):
+        code = main(["synth", "--example", example, flag, value, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: example {example} takes no {flag}\n"
+        assert not out.exists()
+
+
+def test_synth_leaves_unset_flags_to_the_generator(tmp_path, monkeypatch):
+    calls = {}
+    small = {"gen_example1": {}, "gen_example2": {"q": 8, "m": 6},
+             "gen_sparse_fourier": {"grid": 16, "m": 6}}
+    for name, size in small.items():
+        def spy(real=getattr(cli, name), name=name, size=size, **kwargs):
+            calls[name] = kwargs
+            return real(**size)
+        monkeypatch.setattr(cli, name, spy)
+    for example in ("1", "2", "3"):
+        assert main(["synth", "--example", example,
+                     "--out", str(tmp_path / example)]) == 0
+    assert calls == {name: {} for name in small}
 
 
 def test_fit_trajectory_eigen_table(tmp_path):
@@ -428,7 +451,7 @@ def test_fit_transpose_input(tmp_path):
     assert (out_bin / table).read_bytes() == (out / table).read_bytes()
 
 
-def test_transposed_read_holds_two_snapshot_copies(tmp_path):
+def test_transposed_read_is_a_view_for_both_formats(tmp_path, monkeypatch):
     # the sizes of test_fits_hold_no_snapshot_sized_temporaries
     x, xp, _, _ = sensor_pair(n=8192, m=40)
     unit = x.nbytes
@@ -458,6 +481,15 @@ def test_transposed_read_holds_two_snapshot_copies(tmp_path):
     # a transposed read hands the fit the same matrix, so the same bits
     assert written[".binT"] == written[".bin"]
     assert written[".csvT"] == written[".csv"]
+    # a transposed CSV read is the parsed array's transpose, not a copy;
+    # argv is still the transposed CSV case's
+    parsed, fitted = [], []
+    read_csv, fit = dio.read_matrix_csv, cli.dmd_fit
+    monkeypatch.setattr(dio, "read_matrix_csv",
+                        lambda *a: parsed.append(read_csv(*a)) or parsed[-1])
+    monkeypatch.setattr(cli, "dmd_fit", lambda x, *a: fitted.append(x) or fit(x, *a))
+    assert main(argv + ["--out", str(tmp_path / "fit_view")]) == 0
+    assert np.shares_memory(fitted[0], parsed[0])
 
 
 def test_compare_two_models_freqresp(tmp_path, capsys):
@@ -775,12 +807,14 @@ def test_failing_compare_leaves_no_output_directory(tmp_path, capsys):
     assert code == 1
     assert "no inputs" in capsys.readouterr().err
     assert not cmp_out.exists()
-    code = main(["compare", "--model", str(fit / "model.json"),
-                 "--model2", str(fit / "model.json"), "--freqresp",
-                 "--omega-count", "0", "--out", str(cmp_out)])
-    assert code == 1
-    assert "--omega-count" in capsys.readouterr().err
-    assert not cmp_out.exists()
+    # a bad frequency grid is refused with or without --freqresp
+    for freqresp in (["--freqresp"], []):
+        code = main(["compare", "--model", str(fit / "model.json"),
+                     "--model2", str(fit / "model.json"), *freqresp,
+                     "--omega-count", "0", "--out", str(cmp_out)])
+        assert code == 1
+        assert "--omega-count" in capsys.readouterr().err
+        assert not cmp_out.exists()
 
 
 def test_compare_missing_sidecar_exits_2(tmp_path, capsys):
