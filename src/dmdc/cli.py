@@ -299,8 +299,7 @@ def _cmd_synth(args) -> int:
         dio.write_matrix_bin(ds.xp, out / "xp.bin")
         names = ("x.bin", "xp.bin")
     else:
-        dio.write_matrix_csv(ds.x, out / "x.csv")
-        dio.write_matrix_csv(ds.xp, out / "xp.csv")
+        dio.write_shifted_csv(ds.x, ds.xp, out / "x.csv", out / "xp.csv")
         names = ("x.csv", "xp.csv")
     dio.write_matrix_csv(ds.upsilon, out / "upsilon.csv")
     dio.write_truth(ds.truth, out / "truth.json", dt=ds.dt)

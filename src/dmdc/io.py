@@ -10,6 +10,15 @@ advanced one column. When the bytes of two CSV files show that shift,
 on any other input it returns None and the caller parses X' in full. The
 array is the same either way.
 
+The writers mirror that. A CSV file is formatted and written in row
+blocks of at most ``CSV_BLOCK_BYTES`` of text through one atomic file, so
+no writer holds a whole file's lines, text and bytes. ``write_shifted_csv``
+writes a pair whose X' is X advanced one column, bit for bit, from one
+formatted line per row of [X | last column of X'], so each shared cell is
+formatted once; any other pair it writes as two ``write_matrix_csv``
+calls. Either way each file is byte for byte what ``write_matrix_csv``
+writes.
+
 Model records and ground truth are a JSON index plus binary sidecars. The
 index holds the small fields (kinds, ranks, dt, reduced operators,
 eigenvalues, provenance) as plain JSON numbers, which round-trip every
@@ -32,6 +41,7 @@ as if each sidecar had been checked at once.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -54,7 +64,11 @@ BIN_MAGIC = b"DMDCMAT1"
 MODEL_KINDS = ("dmd", "dmdc-known-b", "dmdc-unknown-b")
 
 
-def _atomic_write_bytes(path, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A new binary file, open for writing, that replaces ``path`` when the
+    ``with`` block ends; on any error it is removed and ``path`` is left
+    as it was. A writer may write it in as many chunks as it likes."""
     path = Path(path)
     # O_EXCL with mode 0o666 creates a fresh temp file with the mode open()
     # would give it under the umask, which is never read or set here; a
@@ -68,12 +82,17 @@ def _atomic_write_bytes(path, data: bytes) -> None:
             continue
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_bytes(path, data: bytes) -> None:
+    with _atomic_file(path) as f:
+        f.write(data)
 
 
 # Data of at least this many bytes is hashed on the worker thread, below it
@@ -192,10 +211,53 @@ def csv_lines(m) -> list[str]:
     return [",".join(map(repr, row.tolist())) for row in np.asarray(m, dtype=np.float64)]
 
 
+# A CSV file is written, and screened on read, in blocks of at most this
+# many bytes, so no writer holds a whole file's lines, text and bytes.
+CSV_BLOCK_BYTES = 1 << 20
+# The longest repr of a float64, "-2.2250738585072014e-308", and its comma.
+_CELL_BYTES_MAX = 25
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of ``rows`` rows whose CSV text, ``width`` cells a row, fits
+    in ``CSV_BLOCK_BYTES`` (a row at least)."""
+    step = max(1, CSV_BLOCK_BYTES // (_CELL_BYTES_MAX * width))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def _csv_bytes(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def write_matrix_csv(m, path) -> None:
     """Write a matrix as CSV, one state row per line, snapshots as columns."""
-    lines = csv_lines(as_matrix(m, "matrix"))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    a = as_matrix(m, "matrix")
+    with _atomic_file(path) as f:
+        for rows in _row_blocks(*a.shape):
+            f.write(_csv_bytes(csv_lines(a[rows])))
+
+
+def write_shifted_csv(x, xp, x_path, xp_path) -> None:
+    """Write X and X' byte for byte as two ``write_matrix_csv`` calls would.
+
+    When X' is X advanced one column, x'[:, :-1] equal to x[:, 1:] bit for
+    bit, each row of [X | last column of X'] is formatted once: the X line
+    is that line cut before its last comma, the X' line the same line after
+    its first comma. Any other pair is written by two ``write_matrix_csv``
+    calls, a shared cell that differs only in the sign of zero included.
+    """
+    x, xp = as_matrix(x, "matrix"), as_matrix(xp, "matrix")
+    if x.shape != xp.shape or not np.array_equal(x[:, 1:].view(np.int64),
+                                                 xp[:, :-1].view(np.int64)):
+        write_matrix_csv(x, x_path)
+        write_matrix_csv(xp, xp_path)
+        return
+    rows, cols = x.shape
+    with _atomic_file(x_path) as fx, _atomic_file(xp_path) as fxp:
+        for block in _row_blocks(rows, cols + 1):
+            lines = csv_lines(np.column_stack((x[block], xp[block, -1])))
+            fx.write(_csv_bytes([line[:line.rindex(",")] for line in lines]))
+            fxp.write(_csv_bytes([line[line.index(",") + 1:] for line in lines]))
 
 
 def read_matrix_csv(path, data: bytes | None = None) -> np.ndarray:
@@ -291,8 +353,10 @@ def read_shifted_csv(x: np.ndarray, x_data: bytes, data: bytes) -> np.ndarray | 
     would split off a line with no comma from one with commas, and X,
     ragged, would not have parsed.
     """
-    if data.translate(None, _PLAIN_CSV_BYTES):
-        return None
+    # in blocks: translate() builds a result the size of its input
+    for i in range(0, len(data), CSV_BLOCK_BYTES):
+        if data[i:i + CSV_BLOCK_BYTES].translate(None, _PLAIN_CSV_BYTES):
+            return None
     rows = x.shape[0]
     new = np.empty(rows)
     i = j = 0  # where the current line starts in x_data and in data

@@ -15,6 +15,7 @@ from dmdc import (
     StateSpaceRealization,
     default_frequency_grid,
     frequency_response,
+    gen_example1,
     gen_example2,
     gen_sparse_fourier,
     match_eigenvalues,
@@ -66,6 +67,20 @@ def test_synth_example1_writes_benchmark(tmp_path):
     )
     truth, _ = dio.read_truth(out / "truth.json")
     np.testing.assert_allclose(truth.eigs_true, [1.5, 0.1], rtol=1e-14)
+
+
+@pytest.mark.parametrize("flags, gen, kwargs", [
+    (["--example", "1"], gen_example1, {}),
+    (["--example", "2"], gen_example2, {}),
+    (["--example", "2", "--m", "2"], gen_example2, {"m": 2}),  # a one-column pair
+])
+def test_synth_writes_the_pair_as_write_matrix_csv(tmp_path, flags, gen, kwargs):
+    assert main(["synth", *flags, "--out", str(tmp_path / "ds")]) == 0
+    ds = gen(**kwargs)
+    for name, m in (("x", ds.x), ("xp", ds.xp)):
+        dio.write_matrix_csv(m, tmp_path / f"{name}.csv")
+        assert (tmp_path / "ds" / f"{name}.csv").read_bytes() == (
+            tmp_path / f"{name}.csv").read_bytes()
 
 
 def test_synth_is_deterministic(tmp_path):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -36,8 +36,10 @@ from helpers import (
     EX1_X,
     EX1_XP,
     consistent_forced_data,
+    peak_bytes,
     random_diagonalizable,
     read_matrix_csv_per_cell,
+    sensor_pair,
 )
 
 
@@ -860,6 +862,87 @@ def test_csv_writer_matches_cell_by_cell_repr(tmp_path):
     dio.write_matrix_csv(m, p)
     old = "\n".join(",".join(repr(float(v)) for v in row) for row in m) + "\n"
     assert p.read_bytes() == old.encode("utf-8")
+
+
+def test_csv_writer_holds_one_row_block(tmp_path):
+    # the sensor-csv X: a whole-file writer peaks at 7.9 n x m units
+    x = sensor_pair(n=2048, m=200)[0]
+    p = tmp_path / "x.csv"
+    assert peak_bytes(lambda: dio.write_matrix_csv(x, p)) <= 1.5 * x.nbytes
+    text = "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+    assert p.read_bytes() == text.encode("utf-8")
+
+
+def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch):
+    # each write fails after its first block is in its temp files
+    real, listings = dio.csv_lines, []
+
+    def fail_on_second_block(block):
+        listings.append(sorted(p.name for p in tmp_path.iterdir()))
+        if len(listings) % 2 == 0:
+            raise OSError("disk full")
+        return real(block)
+
+    monkeypatch.setattr(dio, "csv_lines", fail_on_second_block)
+    monkeypatch.setattr(dio, "CSV_BLOCK_BYTES", 2 * 2 * dio._CELL_BYTES_MAX)
+    m = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(OSError, match="disk full"):
+        dio.write_matrix_csv(m, tmp_path / "x.csv")
+    with pytest.raises(OSError, match="disk full"):
+        dio.write_shifted_csv(m[:, :-1], m[:, 1:], tmp_path / "x.csv", tmp_path / "xp.csv")
+    temps = [[name.split(".")[:3] for name in names] for names in listings]
+    assert temps == [[["", "x", "csv"]]] * 2 + [[["", "x", "csv"], ["", "xp", "csv"]]] * 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def _pair_written_both_ways(x, xp):
+    """The bytes of X and X' as ``write_shifted_csv`` writes them, and as
+    two ``write_matrix_csv`` calls do."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("x.csv", "xp.csv", "x2.csv", "xp2.csv")]
+        dio.write_shifted_csv(x, xp, paths[0], paths[1])
+        dio.write_matrix_csv(x, paths[2])
+        dio.write_matrix_csv(xp, paths[3])
+        data = [p.read_bytes() for p in paths]
+    return data[:2], data[2:]
+
+
+_EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(traj=_matrices(min_side=2))
+@example(traj=np.array([_EXTREMES[:2], _EXTREMES[2:]]))  # one column
+@example(traj=np.array([_EXTREMES * 10, _EXTREMES[::-1] * 10]))  # many columns
+def test_shifted_csv_writer_matches_two_matrix_writes(traj):
+    shifted, plain = _pair_written_both_ways(traj[:, :-1], traj[:, 1:])
+    assert shifted == plain
+
+
+def test_shifted_csv_writer_falls_back_off_the_shift():
+    m = np.random.default_rng(5).standard_normal((300, 401))
+    pairs = [
+        (m[:, :-1], m[:, 1:]),      # a shift of many row blocks
+        (m[:, 1:], m[:, :-1]),      # swapped: no shift
+        (m[:, :-1], m[:, 1:-1]),    # X' one column short
+        # the shared cell is 0.0 in X and -0.0 in X', which array_equal takes
+        (np.array([[1.0, 0.0]]), np.array([[-0.0, 2.0]])),
+    ]
+    for x, xp in pairs:
+        shifted, plain = _pair_written_both_ways(x, xp)
+        assert shifted == plain
+    assert shifted[1] == b"-0.0,2.0\n"
+
+
+def test_shifted_csv_read_screens_in_blocks(tmp_path):
+    # the sensor-csv pair: its X' file is 2.6 n x m units
+    x, xp, _, _ = sensor_pair(n=2048, m=200)
+    for name, m in (("x", x), ("xp", xp)):
+        dio.write_matrix_csv(m, tmp_path / f"{name}.csv")
+    x_data, data = ((tmp_path / f"{name}.csv").read_bytes() for name in ("x", "xp"))
+    parsed = dio.read_matrix_csv("x.csv", x_data)
+    assert peak_bytes(lambda: dio.read_shifted_csv(parsed, x_data, data)) <= 1.5 * x.nbytes
+    assert _same_bits(dio.read_shifted_csv(parsed, x_data, data), xp)
 
 
 @st.composite
