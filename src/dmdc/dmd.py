@@ -43,7 +43,8 @@ class DmdcModel:
     full-dimension eigenvectors of the implied n x n operator, one column
     per eigenvalue. ``input_rank`` is the stacked-data truncation p, equal
     to ``output_rank`` r unless B was unknown. The dense operator is kept
-    factored, A = op_left @ op_right, and the n x l input map whole.
+    factored, A = op_left @ op_right, and the n x l input map whole, as
+    ``input_map`` (n x 0 for plain DMD).
     """
 
     kind: str
@@ -72,10 +73,6 @@ class DmdcModel:
                 f"(cap {FULL_OPERATOR_MAX_DIM})"
             )
         return self.op_left @ self.op_right
-
-    def full_input_map(self) -> np.ndarray:
-        """The n x l input map estimate (n x 0 for plain DMD)."""
-        return self.input_map
 
 
 def split_trajectory(traj) -> tuple[np.ndarray, np.ndarray]:

@@ -33,11 +33,12 @@ Sidecars are written before the index, each atomically.
 A ``.bin`` read returns a read-only column-major view of the file's bytes,
 not a copy: the bytes are the array.
 
-Large digests run on one worker thread (``sha256_digest``). A writer waits
-for its sidecars' digests before it writes the index. A reader keeps a list
-of its pending sidecar checks and runs them in ``finally``, in the order
-read: a mismatch is raised in place of any later fault of the same record,
-as if each sidecar had been checked at once.
+Each large digest runs on a thread of its own, which waiting for the
+digest joins (``sha256_digest``); small data is hashed at once. A writer
+waits for its sidecars' digests before it writes the index. A reader
+keeps a list of its pending sidecar checks and runs them in ``finally``,
+in the order read: a mismatch is raised in place of any later fault of
+the same record, as if each sidecar had been checked at once.
 """
 from __future__ import annotations
 
@@ -46,7 +47,6 @@ import hashlib
 import json
 import math
 import os
-import queue
 import secrets
 import struct
 import threading
@@ -95,25 +95,13 @@ def _atomic_write_bytes(path, data: bytes) -> None:
         f.write(data)
 
 
-# Data of at least this many bytes is hashed on the worker thread, below it
-# on the calling thread. Handing a digest to the thread costs more than
-# hashing a small buffer: with every digest on the thread, the benchmark's
-# sweep workload, whose files are all about 200 KB, took 9% longer per
-# pass (2-core x86-64 VM, one BLAS thread).
+# Data of at least this many bytes is hashed on a thread of its own, below
+# it on the calling thread. Handing a digest to another thread costs more
+# than hashing a small buffer: with every digest handed to a worker thread,
+# the benchmark's sweep workload, whose files are all about 200 KB, took 9%
+# longer per pass, and starting and joining a thread costs 45 us against
+# that handoff's 12.5 us (2-core x86-64 VM, one BLAS thread).
 DIGEST_THREAD_MIN_BYTES = 1 << 20
-
-# The worker thread's queue, made when the first large digest starts it.
-_digest_jobs: queue.SimpleQueue | None = None
-_digest_lock = threading.Lock()
-
-
-def _forget_digest_worker() -> None:
-    global _digest_jobs, _digest_lock
-    # a forked child has no worker thread, and the lock may have been held
-    _digest_jobs, _digest_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_digest_worker)
 
 
 def _hexdigest(data) -> str:
@@ -121,58 +109,43 @@ def _hexdigest(data) -> str:
 
 
 class _Digest:
-    """A hex sha256 digest: ready, or pending on the worker thread."""
+    """The hex sha256 of some data: hashed at once, or on a thread of its
+    own that ``result()`` joins."""
 
-    def __init__(self, hexdigest: str | None = None):
-        self._hex = hexdigest
-        self._error = None
-        self._done = None if hexdigest is not None else threading.Event()
+    def __init__(self, data):
+        self._hex = self._error = self._thread = None
+        if len(data) < DIGEST_THREAD_MIN_BYTES:
+            self._hex = _hexdigest(data)
+            return
+        self._thread = threading.Thread(target=self._compute, args=(data,),
+                                        name="dmdc-sha256", daemon=True)
+        self._thread.start()
 
-    def _compute(self, data) -> None:  # on the worker thread
+    def _compute(self, data) -> None:  # on the digest's thread
         try:
             self._hex = _hexdigest(data)
         except BaseException as exc:  # raised again by result(), in the caller
             self._error = exc
-        self._done.set()
 
     def result(self) -> str:
         """The hex digest, once computed; raises what the hash raised."""
-        if self._done is not None:
-            self._done.wait()
+        if self._thread is not None:
+            self._thread.join()
         if self._error is not None:
             raise self._error
         return self._hex
-
-
-def _digest_worker(jobs: queue.SimpleQueue) -> None:
-    while True:
-        digest, data = jobs.get()
-        digest._compute(data)
-        del digest, data  # hold no buffer while the queue is empty
 
 
 def sha256_digest(data) -> _Digest:
     """The hex sha256 of ``data`` (bytes or a bytearray), as an object whose
     ``result()`` returns it, or raises what the hash raised.
 
-    Data of ``DIGEST_THREAD_MIN_BYTES`` or more is hashed on one worker
-    thread, started on the first such call, while the caller goes on; the
-    caller must leave ``data`` unchanged until ``result()`` returns.
+    Data of ``DIGEST_THREAD_MIN_BYTES`` or more is hashed on a daemon
+    thread that this call starts for it alone, while the caller goes on;
+    the caller must leave ``data`` unchanged until ``result()`` returns.
     Smaller data is hashed before this returns.
     """
-    global _digest_jobs
-    if len(data) < DIGEST_THREAD_MIN_BYTES:
-        return _Digest(_hexdigest(data))
-    with _digest_lock:
-        if _digest_jobs is None:
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_digest_worker, args=(jobs,),
-                             name="dmdc-sha256", daemon=True).start()
-            _digest_jobs = jobs
-        jobs = _digest_jobs
-    digest = _Digest()
-    jobs.put((digest, data))
-    return digest
+    return _Digest(data)
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -17,7 +17,6 @@ import numpy as np
 from .dmd import _checked_dt, _snapshot_views
 from .errors import (
     DivergenceError,
-    InsufficientDataError,
     InvalidConfigError,
     InvalidInputError,
 )
@@ -91,8 +90,7 @@ def gen_example1(
     recorded. A state too large for a float raises DivergenceError.
     """
     dt = _checked_dt(dt)
-    if m < 2:
-        raise InsufficientDataError(f"need m >= 2 snapshots, got {m}")
+    _check_snapshot_count(m)
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.shape != (2,):
         raise InvalidConfigError(f"x0 must have 2 entries, got {x0.shape}")
@@ -125,6 +123,12 @@ def gen_example1(
     )
     x, xp = _snapshot_views(states)
     return SynthDataset(x=x, xp=xp, upsilon=ups, truth=truth, dt=dt)
+
+
+def _check_snapshot_count(m: int) -> None:
+    """The snapshot count rule of every generator: m >= 2, one pair at least."""
+    if m < 2:
+        raise InvalidConfigError(f"need m >= 2 snapshots, got {m}")
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
@@ -186,8 +190,9 @@ def _orthonormalize(g: np.ndarray) -> np.ndarray:
 
 def gen_random_inputs(l: int, m: int, seed: int = 0) -> np.ndarray:
     """Seeded standard-normal input matrix with one column per step."""
-    if l < 1 or m < 2:
-        raise InvalidConfigError(f"need l >= 1 and m >= 2, got l={l} m={m}")
+    _check_snapshot_count(m)
+    if l < 1:
+        raise InvalidConfigError(f"need l >= 1 inputs, got {l}")
     rng = _seeded_rng(seed)
     return rng.standard_normal((l, m - 1))
 
@@ -208,6 +213,7 @@ def gen_example2(
     C^T C = I, so q < n raises InvalidConfigError.
     """
     dt = _checked_dt(dt)
+    _check_snapshot_count(m)
     if q < n:
         raise InvalidConfigError(
             f"need q >= n channels for the data to obey C A C^T, got n={n} q={q}"
@@ -280,8 +286,7 @@ def gen_sparse_fourier(
         raise InvalidConfigError(f"grid must be a power of two >= 4, got {grid}")
     if n_modes < 1:
         raise InvalidConfigError(f"need n_modes >= 1, got {n_modes}")
-    if m < 2:
-        raise InsufficientDataError(f"need m >= 2 snapshots, got {m}")
+    _check_snapshot_count(m)
     act = actuation if actuation is not None else ActuationSpec()
     if not np.all(np.isfinite([act.width, act.amplitude, *(act.center or ())])):
         raise InvalidConfigError(f"actuation spec must be finite, got {act}")

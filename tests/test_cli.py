@@ -120,6 +120,14 @@ def test_synth_invalid_params_is_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("example", ["1", "2", "3"])
+def test_synth_with_one_snapshot_is_a_usage_error(tmp_path, capsys, example):
+    out = tmp_path / "o"
+    assert main(["synth", "--example", example, "--m", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: need m >= 2 snapshots, got 1\n"
+    assert not out.exists()
+
+
 def test_synth_leaves_unset_flags_to_the_generator(tmp_path, monkeypatch):
     calls = {}
     small = {"gen_example1": {}, "gen_example2": {"q": 8, "m": 6},
@@ -640,7 +648,7 @@ def test_fitc_reads_each_input_once_and_records_its_digest(tmp_path, monkeypatch
 
 
 def test_fit_on_large_inputs_records_their_digests(tmp_path, monkeypatch):
-    # files past the cut are hashed on the worker thread while the fit runs
+    # files past the cut are hashed on threads of their own while the fit runs
     ds = gen_sparse_fourier(grid=64, n_modes=3, m=40, seed=6)
     files = {"x": tmp_path / "x.bin", "xp": tmp_path / "xp.bin"}
     for key, path in files.items():
@@ -672,14 +680,12 @@ def test_fit_on_small_inputs_starts_no_thread(tmp_path, monkeypatch):
     def no_thread(self):
         raise AssertionError(f"started thread {self.name}")
 
-    monkeypatch.setattr(dio, "_digest_jobs", None)
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert main(["fitc", "--x", str(tmp_path / "x.csv"), "--xp", str(tmp_path / "xp.csv"),
                  "--u", str(tmp_path / "u.csv"), "--out", str(tmp_path / "fitc")]) == 0
     assert main(["compare", "--model", str(tmp_path / "fitc" / "model.json"),
                  "--model2", str(tmp_path / "fitc" / "model.json"),
                  "--out", str(tmp_path / "cmp")]) == 0
-    assert dio._digest_jobs is None
 
 
 def test_input_digest_error_surfaces_from_the_cli(tmp_path, monkeypatch):

@@ -73,7 +73,7 @@ def test_known_b_without_inputs_is_dmd_bitwise():
     np.testing.assert_array_equal(known.eigen.vectors, plain.eigen.vectors)
     np.testing.assert_array_equal(known.modes, plain.modes)
     assert known.b_tilde.shape == (known.output_rank, 0)
-    assert known.full_input_map().shape == (5, 0)
+    assert known.input_map.shape == (5, 0)
     with pytest.raises(ShapeError):
         dmdc_fit_known_b(x, xp, np.zeros((0, 12)), np.zeros((0, 0)))
 
@@ -89,7 +89,7 @@ def test_known_b_scalar_hand_recursion():
 def test_unknown_b_scalar_rich_input():
     model, report = dmdc_fit_unknown_b(RICH_X, RICH_XP, RICH_U)
     np.testing.assert_allclose(model.full_operator(), [[0.5]], atol=1e-10)
-    np.testing.assert_allclose(model.full_input_map(), [[1.0]], atol=1e-10)
+    np.testing.assert_allclose(model.input_map, [[1.0]], atol=1e-10)
     assert not report.collinearity_flag
     oracle = joint_lstsq_operator(RICH_X, RICH_XP, RICH_U)
     np.testing.assert_allclose(oracle, [[0.5, 1.0]], atol=1e-10)
@@ -101,7 +101,7 @@ def test_unknown_b_forced_identity_map():
     ups = rng.standard_normal((3, 12))
     model, report = dmdc_fit_unknown_b(x, ups, ups)
     np.testing.assert_allclose(model.full_operator(), np.zeros((3, 3)), atol=1e-10)
-    np.testing.assert_allclose(model.full_input_map(), np.eye(3), atol=1e-10)
+    np.testing.assert_allclose(model.input_map, np.eye(3), atol=1e-10)
     assert not report.collinearity_flag
 
 
@@ -136,15 +136,15 @@ def test_one_model_type_for_all_fits():
         assert model.kind == kind
         assert model.output_rank == r
         assert model.b_tilde.shape == (r, l)
-        assert model.full_input_map().shape == (n, l)
-    np.testing.assert_array_equal(fits[1][2].full_input_map(), b)
+        assert model.input_map.shape == (n, l)
+    np.testing.assert_array_equal(fits[1][2].input_map, b)
     # above the n x n cap the input map is still returned, and it is right
     big_model = fits[-1][2]
     assert big.x.shape[0] > 500
     with pytest.raises(InvalidInputError):
         big_model.full_operator()
     b_true = big.truth.b_true
-    gap = np.linalg.norm(big_model.full_input_map() - b_true)
+    gap = np.linalg.norm(big_model.input_map - b_true)
     assert gap <= 1e-8 * np.linalg.norm(b_true)
 
 
@@ -166,7 +166,7 @@ def test_exact_joint_recovery_property():
         x, xp, ups = consistent_forced_data(rng, real.a, real.b, n + l + 15)
         model, report = dmdc_fit_unknown_b(x, xp, ups)
         assert not report.collinearity_flag
-        got = np.hstack([model.full_operator(), model.full_input_map()])
+        got = np.hstack([model.full_operator(), model.input_map])
         want = np.hstack([real.a, real.b])
         rel = np.linalg.norm(got - want, "fro") / np.linalg.norm(want, "fro")
         assert rel <= 1e-8
@@ -204,7 +204,7 @@ def test_unknown_b_without_inputs_is_dmd(make):
     model, report = dmdc_fit_unknown_b(ds.x, ds.xp, np.zeros((0, m)))
     plain = dmd_fit(ds.x, ds.xp)
     assert model.b_tilde.shape == (model.output_rank, 0)
-    assert model.full_input_map().shape == (n, 0)
+    assert model.input_map.shape == (n, 0)
     assert not report.collinearity_flag
     if n <= 500:
         np.testing.assert_array_equal(model.full_operator(), plain.full_operator())
@@ -218,7 +218,7 @@ def test_one_step_consistency_forced():
     b = rng.standard_normal((7, 3))
     x, xp, ups = consistent_forced_data(rng, a, b, 30)
     model, _ = dmdc_fit_unknown_b(x, xp, ups)
-    resid = model.full_operator() @ x + model.full_input_map() @ ups - xp
+    resid = model.full_operator() @ x + model.input_map @ ups - xp
     assert np.linalg.norm(resid, "fro") <= 1e-8 * np.linalg.norm(xp, "fro")
 
 
@@ -230,7 +230,7 @@ def test_residual_optimality_spot_check():
     ups = rng.standard_normal((2, 20))
     xp = a @ x + b @ ups + 0.05 * rng.standard_normal((4, 20))  # inconsistent
     model, _ = dmdc_fit_unknown_b(x, xp, ups)
-    a_hat, b_hat = model.full_operator(), model.full_input_map()
+    a_hat, b_hat = model.full_operator(), model.input_map
     best = np.linalg.norm(a_hat @ x + b_hat @ ups - xp, "fro")
     scale = 1e-3 * np.linalg.norm(np.hstack([a_hat, b_hat]), "fro")
     for _ in range(100):
@@ -265,7 +265,7 @@ def test_unknown_b_matches_lstsq_oracle_full_rank():
         xp = rng.standard_normal((n, m))
         ups = rng.standard_normal((l, m))
         model, _ = dmdc_fit_unknown_b(x, xp, ups)
-        got = np.hstack([model.full_operator(), model.full_input_map()])
+        got = np.hstack([model.full_operator(), model.input_map])
         want = joint_lstsq_operator(x, xp, ups)
         rel = np.linalg.norm(got - want, "fro") / np.linalg.norm(want, "fro")
         assert rel <= 1e-9

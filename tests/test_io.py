@@ -3,7 +3,6 @@ import copy
 import hashlib
 import json
 import struct
-import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -387,7 +386,7 @@ def test_write_truth_checks_every_sidecar_before_the_first_write(tmp_path, field
 
 @pytest.fixture(params=["inline", "worker"])
 def digest_route(request, monkeypatch):
-    """Hash sidecars as the small files they are, or all on the worker."""
+    """Hash sidecars as the small files they are, or each on a thread."""
     if request.param == "worker":
         monkeypatch.setattr(dio, "DIGEST_THREAD_MIN_BYTES", 0)
     return request.param
@@ -415,42 +414,36 @@ def test_worker_digest_error_surfaces_from_writer_and_reader(tmp_path, monkeypat
     assert threads and threading.main_thread() not in threads
 
 
-def test_racing_first_digests_start_one_worker(monkeypatch):
-    # threads racing to the first large digest start one worker between
-    # them, and every digest they get back is right
-    started = []
-    real_start = threading.Thread.start
-
-    def counting_start(self):
-        if self.name == "dmdc-sha256":
-            started.append(self)
-        real_start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    monkeypatch.setattr(dio, "_digest_jobs", None)
+def test_racing_large_digests_are_right_and_hashed_off_their_callers(monkeypatch):
+    # threads racing large digests each get the right hex back, and no hash
+    # runs on the thread that asked for it
     monkeypatch.setattr(dio, "DIGEST_THREAD_MIN_BYTES", 0)
+    real = dio._hexdigest
+    hashed_on = {}
+
+    def recording(data):
+        hashed_on[data] = threading.current_thread()
+        return real(data)
+
+    monkeypatch.setattr(dio, "_hexdigest", recording)
     blobs = [bytes([i]) * (1000 + i) for i in range(8)]
     results = {}
     barrier = threading.Barrier(len(blobs))
 
     def work(i):
         barrier.wait(timeout=10)
-        results[i] = [dio.sha256_digest(blobs[i]).result() for _ in range(20)]
+        results[i] = dio.sha256_digest(blobs[i]).result()
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(blobs))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
     assert not any(t.is_alive() for t in threads)
-    assert len(started) == 1
-    assert results == {i: [hashlib.sha256(b).hexdigest()] * 20
-                       for i, b in enumerate(blobs)}
+    assert results == {i: hashlib.sha256(b).hexdigest() for i, b in enumerate(blobs)}
+    for caller, blob in zip(threads, blobs):
+        assert hashed_on[blob] is not caller
+        assert hashed_on[blob].name == "dmdc-sha256"
 
 
 def test_model_digest_mismatch_outranks_a_later_fault(tmp_path, digest_route):

@@ -4,7 +4,6 @@ import pytest
 from dmdc import (
     ActuationSpec,
     DivergenceError,
-    InsufficientDataError,
     InvalidConfigError,
     InvalidInputError,
     add_noise,
@@ -45,7 +44,7 @@ def test_example1_closed_loop_pole():
 
 
 def test_example1_validation():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InvalidConfigError, match="need m >= 2 snapshots, got 1"):
         gen_example1(m=1)
     with pytest.raises(InvalidConfigError):
         gen_example1(x0=(1.0, 2.0, 3.0))
@@ -93,6 +92,17 @@ def test_random_stable_ss_conjugate_paired_spectrum():
         gen_random_stable_ss(n=0, l=1, q=1)
     with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
         gen_random_stable_ss(n=2, l=1, q=2, seed=-1)
+
+
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_every_generator_rejects_fewer_than_two_snapshots(m):
+    # one rule and one error class for the snapshot count, as for every
+    # other generator setting
+    for gen in (lambda: gen_example1(m=m), lambda: gen_example2(m=m),
+                lambda: gen_sparse_fourier(grid=16, n_modes=2, m=m),
+                lambda: gen_random_inputs(l=2, m=m)):
+        with pytest.raises(InvalidConfigError, match=f"need m >= 2 snapshots, got {m}$"):
+            gen()
 
 
 def test_random_inputs_shape_and_determinism():
@@ -239,7 +249,7 @@ def test_sparse_fourier_validation():
         gen_sparse_fourier(grid=2, n_modes=1, m=5)
     with pytest.raises(InvalidConfigError):
         gen_sparse_fourier(grid=4, n_modes=50, m=5)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InvalidConfigError, match="need m >= 2 snapshots, got 1"):
         gen_sparse_fourier(grid=16, n_modes=2, m=1)
     with pytest.raises(InvalidConfigError):
         gen_sparse_fourier(grid=16, n_modes=2, m=5,
