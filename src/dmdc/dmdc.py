@@ -56,8 +56,6 @@ def dmdc_fit_known_b(
     """
     x, xp, dt = _checked_pair(x, xp, dt)
     ups = _checked_upsilon(x, upsilon)
-    if np.ndim(b) == 1:
-        b = np.asarray(b, dtype=np.float64).reshape(-1, 1)
     b = as_matrix(b, "b", allow_zero_cols=True)
     if b.shape != (x.shape[0], ups.shape[0]):
         raise ShapeError(

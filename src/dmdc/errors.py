@@ -46,19 +46,17 @@ class NumericalFailureError(DmdcError, RuntimeError):
 class DivergenceError(DmdcError, RuntimeError):
     """Simulation produced a non-finite state."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite state at step {step}")
+        super().__init__(f"non-finite state at step {step}")
 
 
 class SingularFrequencyError(DmdcError, ValueError):
     """A frequency grid point coincides with an eigenvalue of A."""
 
-    def __init__(self, omega: float, message: str | None = None):
+    def __init__(self, omega: float):
         self.omega = omega
-        super().__init__(
-            message or f"e^(i*{omega!r}) is an eigenvalue of A within 1e-12"
-        )
+        super().__init__(f"e^(i*{omega!r}) is an eigenvalue of A within 1e-12")
 
 
 class FormatError(DmdcError, ValueError):

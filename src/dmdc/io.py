@@ -34,7 +34,7 @@ A ``.bin`` read returns a read-only column-major view of the file's bytes,
 not a copy: the bytes are the array.
 
 Each large digest runs on a thread of its own, which waiting for the
-digest joins (``sha256_digest``); small data is hashed at once. A writer
+digest joins (``Sha256Digest``); small data is hashed at once. A writer
 waits for its sidecars' digests before it writes the index. A reader
 keeps a list of its pending sidecar checks and runs them in ``finally``,
 in the order read: a mismatch is raised in place of any later fault of
@@ -108,9 +108,15 @@ def _hexdigest(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-class _Digest:
-    """The hex sha256 of some data: hashed at once, or on a thread of its
-    own that ``result()`` joins."""
+class Sha256Digest:
+    """The hex sha256 of ``data`` (bytes or a bytearray), as an object whose
+    ``result()`` returns it, or raises what the hash raised.
+
+    Data of ``DIGEST_THREAD_MIN_BYTES`` or more is hashed on a daemon
+    thread that the constructor starts for it alone, while the caller goes
+    on; the caller must leave ``data`` unchanged until ``result()`` returns.
+    Smaller data is hashed before the constructor returns.
+    """
 
     def __init__(self, data):
         self._hex = self._error = self._thread = None
@@ -134,18 +140,6 @@ class _Digest:
         if self._error is not None:
             raise self._error
         return self._hex
-
-
-def sha256_digest(data) -> _Digest:
-    """The hex sha256 of ``data`` (bytes or a bytearray), as an object whose
-    ``result()`` returns it, or raises what the hash raised.
-
-    Data of ``DIGEST_THREAD_MIN_BYTES`` or more is hashed on a daemon
-    thread that this call starts for it alone, while the caller goes on;
-    the caller must leave ``data`` unchanged until ``result()`` returns.
-    Smaller data is hashed before this returns.
-    """
-    return _Digest(data)
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -485,13 +479,13 @@ def _write_sidecar(index: Path, tag: str, mat) -> dict | None:
         return None
     name = f"{index.stem}_{tag}.bin"
     data = _bin_bytes(mat)
-    digest = sha256_digest(data)  # runs while the file is written
+    digest = Sha256Digest(data)  # runs while the file is written
     _atomic_write_bytes(index.parent / name, data)
     return {"file": name, "sha256": digest}
 
 
 def _digest_hex(obj) -> str:
-    if isinstance(obj, _Digest):
+    if isinstance(obj, Sha256Digest):
         return obj.result()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -533,7 +527,7 @@ def _read_sidecar(index: Path, entry, where: str, checks: list) -> np.ndarray | 
     except FileNotFoundError:
         raise FormatError(f"{side}: sidecar named by {where} is missing") from None
     mat = read_matrix_bin(side, data)
-    checks.append((sha256_digest(data), entry["sha256"], where, side))
+    checks.append((Sha256Digest(data), entry["sha256"], where, side))
     return mat
 
 
@@ -566,11 +560,13 @@ class ModelRecord:
     """Serializable snapshot of a fitted model plus its provenance.
 
     ``b_tilde`` is r x l, with l = 0 for plain DMD, as on the model.
+    ``input_rank`` and ``output_rank`` are p and r, as on the model; the
+    index stores them as ``rank_p`` and ``rank_r``.
     """
 
     kind: str
-    rank_p: int
-    rank_r: int
+    input_rank: int
+    output_rank: int
     dt: float
     a_tilde: np.ndarray
     b_tilde: np.ndarray
@@ -583,8 +579,8 @@ class ModelRecord:
     def from_model(cls, model, provenance: dict | None = None) -> "ModelRecord":
         return cls(
             kind=model.kind,
-            rank_p=model.input_rank,
-            rank_r=model.output_rank,
+            input_rank=model.input_rank,
+            output_rank=model.output_rank,
             dt=model.dt,
             a_tilde=model.a_tilde,
             b_tilde=model.b_tilde,
@@ -612,8 +608,8 @@ def write_model(record: ModelRecord, path) -> None:
     path = Path(path)
     doc = {
         "kind": record.kind,
-        "rank_p": int(record.rank_p),
-        "rank_r": int(record.rank_r),
+        "rank_p": int(record.input_rank),
+        "rank_r": int(record.output_rank),
         "dt": float(record.dt),
         "a_tilde": record.a_tilde.tolist(),
         "b_tilde": record.b_tilde.tolist(),
@@ -675,8 +671,8 @@ def read_model(path) -> ModelRecord:
             raise SchemaError(f"{path}: basis and modes must name sidecars")
         record = ModelRecord(
             kind=kind,
-            rank_p=rank_p,
-            rank_r=rank_r,
+            input_rank=rank_p,
+            output_rank=rank_r,
             dt=_read_dt(doc, path),
             a_tilde=_dec_real_matrix(_require(doc, "a_tilde", path), f"{path}: a_tilde"),
             b_tilde=_dec_real_matrix(_require(doc, "b_tilde", path), f"{path}: b_tilde"),

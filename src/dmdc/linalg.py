@@ -323,6 +323,12 @@ def _leading_rows_rank(svd: TruncatedSvd, x: np.ndarray) -> int:
     return numerical_rank(x)
 
 
+def _eig_order(values: np.ndarray) -> np.ndarray:
+    """The indices that sort ``values`` in the package eigenvalue order:
+    descending magnitude, then descending real, then imaginary part."""
+    return np.lexsort((-values.imag, -values.real, -np.abs(values)))
+
+
 def eig(a) -> EigenDecomposition:
     """Eigendecomposition of a square real or complex matrix.
 
@@ -347,7 +353,7 @@ def eig(a) -> EigenDecomposition:
             f"eigendecomposition failed to converge for a "
             f"{m.shape[0]}x{m.shape[1]} matrix"
         ) from exc
-    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
+    order = _eig_order(values)
     return EigenDecomposition(values=values[order], vectors=vectors[:, order])
 
 

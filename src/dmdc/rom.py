@@ -269,10 +269,9 @@ def match_eigenvalues(eigs_a, eigs_b) -> tuple[np.ndarray, np.ndarray]:
     from scipy.optimize import linear_sum_assignment
 
     cost = np.abs(a[:, None] - b[None, :])
+    # cost is square, so rows is arange(n) and cols is the permutation
     rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(a.size, dtype=int)
-    perm[rows] = cols
-    return perm, cost[rows, cols][np.argsort(rows)]
+    return cols, cost[rows, cols]
 
 
 def spectral_distance(eigs_a, eigs_b) -> float:

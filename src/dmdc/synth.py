@@ -20,7 +20,7 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
 )
-from .linalg import eig
+from .linalg import _eig_order, eig
 from .rom import StateSpaceRealization
 
 
@@ -152,20 +152,14 @@ def gen_random_stable_ss(
         raise InvalidConfigError(f"dimensions must be >= 1, got n={n} l={l} q={q}")
     rng = _seeded_rng(seed)
     radius = 0.95
-    blocks: list[np.ndarray] = []
-    for _ in range(n // 2):
+    d = np.zeros((n, n))
+    for i in range(0, n - 1, 2):
         r = radius * np.sqrt(rng.uniform())
         th = rng.uniform(0.0, np.pi)
         re, im = r * np.cos(th), r * np.sin(th)
-        blocks.append(np.array([[re, im], [-im, re]]))
+        d[i : i + 2, i : i + 2] = [[re, im], [-im, re]]
     if n % 2:
-        blocks.append(np.array([[rng.uniform(-radius, radius)]]))
-    d = np.zeros((n, n))
-    i = 0
-    for blk in blocks:
-        s = blk.shape[0]
-        d[i : i + s, i : i + s] = blk
-        i += s
+        d[-1, -1] = rng.uniform(-radius, radius)
     qmat = _orthonormalize(rng.standard_normal((n, n)))
     a = qmat @ d @ qmat.T
     b = rng.standard_normal((n, l))
@@ -228,21 +222,15 @@ def gen_example2(
 
 
 def _conjugate_classes(grid: int, kmax: int) -> list[tuple[int, int]]:
-    """Canonical representatives of non-self-conjugate wavevector pairs."""
-    reps = []
-    seen = set()
-    for kx in range(-kmax, kmax + 1):
-        for ky in range(-kmax, kmax + 1):
-            key = (kx % grid, ky % grid)
-            conj = ((-kx) % grid, (-ky) % grid)
-            if key == conj:
-                continue
-            pair = (key, conj) if key <= conj else (conj, key)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            reps.append(pair[0])
-    return reps
+    """One wavevector mod ``grid`` of each conjugate pair in [-kmax, kmax]^2.
+
+    With 2 kmax < grid no two vectors of the square share a residue and only
+    k = 0 is its own conjugate, so the pairs are the half plane kx > 0, then
+    kx = 0 with ky > 0. The order is fixed: ``rng.choice`` picks by index.
+    """
+    return ([(kx, ky % grid) for kx in range(kmax, 0, -1)
+             for ky in range(kmax, -kmax - 1, -1)]
+            + [(0, ky) for ky in range(kmax, 0, -1)])
 
 
 def _plane_waves(grid: int, waves: list[tuple[int, int]]) -> np.ndarray:
@@ -339,7 +327,7 @@ def gen_sparse_fourier(
 
     eigs_raw = np.concatenate([mu, np.conj(mu)])
     modes_raw = np.hstack([w, np.conj(w)])
-    order = np.lexsort((-eigs_raw.imag, -eigs_raw.real, -np.abs(eigs_raw)))
+    order = _eig_order(eigs_raw)
     eigs_true = eigs_raw[order]
     modes_true = modes_raw[:, order]
 

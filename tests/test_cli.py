@@ -182,7 +182,25 @@ def test_fit_usage_errors(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
     assert main(["fit", "--traj", "t.csv", "--rank-r", "2",
                  "--svd-threshold", "0.1", "--out", str(tmp_path)]) == 1
-    capsys.readouterr()
+    assert main(["fit", "--traj", "t.csv", "--rank-r", "0", "--out", str(tmp_path)]) == 1
+    assert "rank must be >= 1, got 0" in capsys.readouterr().err
+    assert main(["fit", "--traj", "t.csv", "--svd-threshold", "1.5",
+                 "--out", str(tmp_path)]) == 1
+    assert "--svd-threshold must lie in (0, 1), got 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, truncation", [
+    pytest.param([], {"policy": "default-threshold", "value": 1e-10}, id="default"),
+    pytest.param(["--svd-threshold", "0.01"], {"policy": "threshold", "value": 0.01},
+                 id="threshold"),
+])
+def test_fit_records_its_truncation_policy(tmp_path, flags, truncation):
+    dio.write_matrix_csv(EX1_TRAJ, tmp_path / "traj.csv")
+    out = tmp_path / "fit"
+    assert main(["fit", "--traj", str(tmp_path / "traj.csv"), *flags,
+                 "--out", str(out)]) == 0
+    record = dio.read_model(out / "model.json")
+    assert record.provenance["truncation"] == {"r": truncation}
 
 
 def test_fitc_known_b_recovers_example1(tmp_path):
@@ -238,7 +256,7 @@ def test_fitc_known_b_has_one_rank(tmp_path, capsys):
     assert not out.exists()
     assert main([*argv, "--rank-r", "1", "--out", str(out)]) == 0
     record = dio.read_model(out / "model.json")
-    assert record.rank_p == record.rank_r == 1
+    assert record.input_rank == record.output_rank == 1
     rank_1 = {"policy": "rank", "value": 1}
     assert record.provenance["truncation"] == {"p": rank_1, "r": rank_1}
 
@@ -409,6 +427,18 @@ def test_unknown_subcommand_and_flags_are_usage_errors(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["fit", "--bogus-flag", "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--model", "m.json", "--a", "a.csv"], "--model excludes --a/--b/--c",
+                 id="model-and-a"),
+    pytest.param(["--a", "a.csv"], "need --model or all of --a, --b, --c", id="a-alone"),
+])
+def test_freqresp_takes_a_model_or_three_matrices(tmp_path, capsys, flags, message):
+    out = tmp_path / "fr"
+    assert main(["freqresp", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_synth_with_actuation_spec_file(tmp_path):
@@ -739,7 +769,7 @@ def test_freqresp_from_matrices_computes_no_digest(tmp_path, monkeypatch):
     def no_digest(data):
         raise AssertionError("freqresp --a/--b/--c computed a digest")
 
-    monkeypatch.setattr(dio, "sha256_digest", no_digest)
+    monkeypatch.setattr(dio, "Sha256Digest", no_digest)
     monkeypatch.setattr(hashlib, "sha256", no_digest)
     out = tmp_path / "fr"
     assert main(["freqresp", *[f"--{k}={tmp_path / k}.csv" for k in names],
@@ -830,12 +860,52 @@ def test_failing_compare_leaves_no_output_directory(tmp_path, capsys):
     assert not cmp_out.exists()
     # a bad frequency grid is refused with or without --freqresp
     for freqresp in (["--freqresp"], []):
-        code = main(["compare", "--model", str(fit / "model.json"),
-                     "--model2", str(fit / "model.json"), *freqresp,
-                     "--omega-count", "0", "--out", str(cmp_out)])
-        assert code == 1
-        assert "--omega-count" in capsys.readouterr().err
-        assert not cmp_out.exists()
+        for grid, flag in ((["--omega-count", "0"], "--omega-count"),
+                           (["--omega-min", "2", "--omega-max", "1"], "--omega-min")):
+            code = main(["compare", "--model", str(fit / "model.json"),
+                         "--model2", str(fit / "model.json"), *freqresp,
+                         *grid, "--out", str(cmp_out)])
+            assert code == 1
+            assert flag in capsys.readouterr().err
+            assert not cmp_out.exists()
+
+
+@pytest.mark.parametrize("flags2, message", [
+    pytest.param(["--rank-r", "1"], "spectra differ in size: 2 vs 1", id="eigenvalue-count"),
+    pytest.param(["--u", "u2.csv", "--b-matrix", "b2.csv"],
+                 "frequency responses differ in shape: (200, 1) vs (200, 2)",
+                 id="input-count"),
+])
+def test_compare_rejects_a_reference_of_another_shape(tmp_path, monkeypatch, capsys,
+                                                      flags2, message):
+    # both models fit example 1's two states; the reference differs in its
+    # eigenvalue count or its input count
+    monkeypatch.chdir(tmp_path)
+    _write_ex1(tmp_path)
+    dio.write_matrix_csv(np.vstack([EX1_UPS, [1.0, 0.0, -1.0, 2.0]]), "u2.csv")
+    dio.write_matrix_csv(np.hstack([EX1_B, [[0.5], [1.0]]]), "b2.csv")
+    fitc = ["fitc", "--x", "x.csv", "--xp", "xp.csv", "--u", "u.csv", "--b-matrix", "b.csv"]
+    assert main([*fitc, "--out", "m1"]) == 0
+    assert main([*fitc, *flags2, "--out", "m2"]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--model", "m1/model.json", "--model2", "m2/model.json",
+                 "--freqresp", "--out", "cmp"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_example1_truth_freqresp(ex1_files, tmp_path, capsys):
+    # example 1's truth has an a_true and no c_true: C = I
+    model, truth = ex1_files
+    out = tmp_path / "cmp"
+    capsys.readouterr()
+    assert main(["compare", "--model", str(model), "--truth", str(truth), "--freqresp",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert float(printed.split("max_sigma_relative_gap=")[1].split()[0]) <= 1e-10
+    header, body = _read_table(out / "freq_compare.csv")
+    assert header == ["omega", "sigma1_model", "sigma1_ref", "relgap1"]
+    assert len(body) == 200
 
 
 def test_compare_missing_sidecar_exits_2(tmp_path, capsys):

@@ -86,6 +86,16 @@ def test_known_b_scalar_hand_recursion():
     np.testing.assert_allclose(model.b_tilde, [[1.0]], rtol=1e-13)
 
 
+def test_known_b_scalar_state_two_inputs():
+    # a 1-D b is read as a row, as every 1-D input is: the map of one state
+    b = np.array([0.5, -1.0])
+    u = np.vstack([RICH_U, [0.0, 1.0, 2.0, -1.0]])
+    xp = 0.5 * RICH_X + b @ u
+    model = dmdc_fit_known_b(RICH_X, xp, u, b)
+    np.testing.assert_allclose(model.full_operator(), [[0.5]], atol=1e-12)
+    np.testing.assert_array_equal(model.input_map, [b])
+
+
 def test_unknown_b_scalar_rich_input():
     model, report = dmdc_fit_unknown_b(RICH_X, RICH_XP, RICH_U)
     np.testing.assert_allclose(model.full_operator(), [[0.5]], atol=1e-10)
@@ -274,6 +284,9 @@ def test_unknown_b_matches_lstsq_oracle_full_rank():
 def test_shape_errors():
     with pytest.raises(ShapeError):
         dmdc_fit_known_b(EX1_X, EX1_XP, EX1_UPS, np.ones((3, 1)))
+    # a 1-D b is one row, so two states need it as a 2 x 1 column
+    with pytest.raises(ShapeError, match=r"b is \(1, 2\), expected \(2, 1\)"):
+        dmdc_fit_known_b(EX1_X, EX1_XP, EX1_UPS, EX1_B.ravel())
     with pytest.raises(ShapeError):
         dmdc_fit_known_b(EX1_X, EX1_XP[:, :3], EX1_UPS, EX1_B)
     with pytest.raises(ShapeError):

@@ -173,7 +173,7 @@ def test_model_round_trip_bitwise(tmp_path):
         dio.write_model(rec, p)
         back = dio.read_model(p)
         assert back.kind == rec.kind
-        assert (back.rank_p, back.rank_r) == (rec.rank_p, rec.rank_r)
+        assert (back.input_rank, back.output_rank) == (rec.input_rank, rec.output_rank)
         assert back.dt == rec.dt
         np.testing.assert_array_equal(back.a_tilde, rec.a_tilde)
         assert back.b_tilde.shape == rec.b_tilde.shape
@@ -253,7 +253,7 @@ def test_index_numbers_are_plain_json(tmp_path):
         assert doc["eigenvalues"] == [[z.real, z.imag] for z in rec.eigenvalues]
     dmd = next(iter(_records()))
     dio.write_model(dmd, p)
-    assert json.loads(p.read_text())["b_tilde"] == [[]] * dmd.rank_r
+    assert json.loads(p.read_text())["b_tilde"] == [[]] * dmd.output_rank
     truth = gen_sparse_fourier(grid=4, n_modes=1, m=3, seed=2).truth
     dio.write_truth(truth, p, dt=0.5)
     doc = json.loads(p.read_text())
@@ -432,7 +432,7 @@ def test_racing_large_digests_are_right_and_hashed_off_their_callers(monkeypatch
 
     def work(i):
         barrier.wait(timeout=10)
-        results[i] = dio.sha256_digest(blobs[i]).result()
+        results[i] = dio.Sha256Digest(blobs[i]).result()
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(blobs))]
     for t in threads:
@@ -569,6 +569,17 @@ def _add_b_tilde(doc):
                  "dt must be finite", id="dt-zero"),
     pytest.param("dmd", lambda d: d.update(dt=float("inf")),
                  "dt must be finite", id="dt-inf"),
+    pytest.param("dmd", lambda d: d.update(rank_r=float(d["rank_r"])),
+                 "ranks must be integers", id="rank-float"),
+    pytest.param("dmd", lambda d: d.update(basis=None),
+                 "basis and modes must name sidecars", id="null-basis"),
+    pytest.param("dmd", lambda d: d.update(a_tilde=[[*row, 0.0] for row in d["a_tilde"]]),
+                 "a_tilde must be square", id="a-not-square"),
+    pytest.param("dmdc-known-b", lambda d: d["eigenvalues"].append([0.0, 0.0]),
+                 "eigenvalue count", id="eigenvalue-count"),
+    pytest.param("dmdc-unknown-b",
+                 lambda d: d.update(eigenvalues=[[*z, 0.0] for z in d["eigenvalues"]]),
+                 r"eigenvalues must be \[re, im\] rows", id="eigenvalue-rows"),
 ])
 def test_model_contradictory_index_rejected(tmp_path, kind, edit, match):
     rec = next(r for r in _records() if r.kind == kind)
@@ -582,8 +593,39 @@ def test_model_contradictory_index_rejected(tmp_path, kind, edit, match):
 
 
 
-def _truth_sidecar(index, tag, mat):
-    """Write ``mat`` as the truth sidecar ``tag`` and return its index entry."""
+@pytest.mark.parametrize("tag, make, match", [
+    pytest.param("basis", lambda r: np.hstack([r.basis, r.basis[:, :1]]),
+                 "basis/modes width", id="basis-width"),
+    pytest.param("basis", lambda r: np.vstack([r.basis, r.basis[:1]]),
+                 "basis and modes differ in state dimension", id="basis-rows"),
+    pytest.param("modes_im", lambda r: np.vstack([r.modes.imag, r.modes.imag[:1]]),
+                 "real and imaginary parts of one shape", id="modes-parts"),
+])
+def test_model_sidecar_contradicting_the_index_rejected(tmp_path, tag, make, match):
+    # a well-formed sidecar with a matching digest, of the wrong shape
+    rec = next(iter(_records()))
+    p = tmp_path / "m.json"
+    dio.write_model(rec, p)
+    doc = json.loads(p.read_text())
+    entry = _sidecar(p, tag, make(rec))
+    if tag == "basis":
+        doc["basis"] = entry
+    else:
+        doc["modes"]["im"] = entry
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=match):
+        dio.read_model(p)
+
+
+def test_write_model_rejects_provenance_json_cannot_write(tmp_path):
+    rec = dataclasses.replace(next(iter(_records())), provenance={"when": object()})
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        dio.write_model(rec, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
+
+
+def _sidecar(index, tag, mat):
+    """Write ``mat`` as the sidecar ``tag`` of ``index``; return its index entry."""
     side = index.parent / f"{index.stem}_{tag}.bin"
     dio.write_matrix_bin(mat, side)
     return {"file": side.name, "sha256": hashlib.sha256(side.read_bytes()).hexdigest()}
@@ -618,13 +660,24 @@ def test_truth_contradictory_sidecars_rejected(tmp_path, latent, tag, make, matc
     doc = json.loads(p.read_text())
     mat = make(truth)
     if tag == "modes_true":
-        entry = {"re": _truth_sidecar(p, "modes_re", mat.real),
-                 "im": _truth_sidecar(p, "modes_im", mat.imag)}
+        entry = {"re": _sidecar(p, "modes_re", mat.real),
+                 "im": _sidecar(p, "modes_im", mat.imag)}
     else:
-        entry = _truth_sidecar(p, tag, mat)
+        entry = _sidecar(p, tag, mat)
     doc["files"][tag] = entry
     p.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=match):
+        dio.read_truth(p)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, "1"])
+def test_truth_seed_must_be_an_integer(tmp_path, seed):
+    p = tmp_path / "truth.json"
+    dio.write_truth(gen_example1().truth, p)
+    doc = json.loads(p.read_text())
+    doc["seed"] = seed
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="seed must be an integer"):
         dio.read_truth(p)
 
 
@@ -661,8 +714,8 @@ def _model_records(draw):
     n, r, l = (draw(st.integers(1, k)) for k in (12, 5, 3))
     return dio.ModelRecord(
         kind=kind,
-        rank_p=draw(st.integers(r, r + 3)),
-        rank_r=r,
+        input_rank=draw(st.integers(r, r + 3)),
+        output_rank=r,
         dt=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         a_tilde=_real(draw, (r, r)),
         b_tilde=_real(draw, (r, 0 if kind == "dmd" else l)),
@@ -692,7 +745,8 @@ def test_model_round_trip_property(rec):
         p = Path(tmp) / "model.json"
         dio.write_model(rec, p)
         back = dio.read_model(p)
-    assert (back.kind, back.rank_p, back.rank_r) == (rec.kind, rec.rank_p, rec.rank_r)
+    assert (back.kind, back.input_rank, back.output_rank) == (
+        rec.kind, rec.input_rank, rec.output_rank)
     assert back.dt.hex() == rec.dt.hex()
     for field in ("a_tilde", "b_tilde", "basis", "eigenvalues", "modes"):
         assert _same_bits(getattr(back, field), getattr(rec, field)), field

@@ -77,6 +77,8 @@ def test_sign_convention_and_determinism():
 def test_svd_input_errors():
     with pytest.raises(DegenerateMatrixError):
         truncated_svd(np.zeros((2, 2)))
+    with pytest.raises(ShapeError, match="must be 2-D, got 3-D"):
+        truncated_svd(np.ones((2, 2, 2)))
     with pytest.raises(InvalidInputError):
         truncated_svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):
@@ -150,7 +152,7 @@ def test_eig_sorted_by_magnitude_then_real_then_imag():
     assert keys == sorted(keys)
 
 
-def test_eig_errors():
+def test_eig_errors(monkeypatch):
     with pytest.raises(ShapeError):
         eig(np.ones((2, 3)))
     with pytest.raises(InvalidInputError):
@@ -158,9 +160,14 @@ def test_eig_errors():
         eig(np.broadcast_to(0.0, (linalg.EIG_MAX_DIM + 1,) * 2))
     with pytest.raises(InvalidInputError):
         eig(np.array([[np.inf]]))
-    # NumericalFailureError is reserved for LAPACK non-convergence, which
-    # has no reliable small reproducer; just check it is an exception type
-    assert issubclass(NumericalFailureError, RuntimeError)
+
+    # LAPACK non-convergence has no reliable small reproducer, so it is faked
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    with pytest.raises(NumericalFailureError, match="failed to converge for a 2x2"):
+        eig(np.eye(2))
 
 
 def test_numerical_rank():
@@ -259,6 +266,26 @@ def test_fallback_exits_before_the_lift(monkeypatch):
     noisy = add_noise(ds, sigma=1e-3 * np.sqrt(np.mean(ds.x**2)), seed=5).x
     for trunc in (None, 10):
         _assert_lapack_result(noisy, trunc)
+
+
+@pytest.mark.parametrize("fault", ["cholesky", "not-orthonormal"])
+def test_snapshot_failure_falls_back_to_lapack(monkeypatch, fault):
+    x = gen_sparse_fourier(grid=64, n_modes=5, m=60, seed=4).x  # 4096 x 59
+    certified = truncated_svd(x)
+    if fault == "cholesky":
+        def cholesky(a):
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    else:  # a Q whose columns have norm 2
+        qr2 = linalg._cholesky_qr2
+        monkeypatch.setattr(linalg, "_cholesky_qr2", lambda y: 2.0 * qr2(y))
+    assert linalg._snapshot_svd(x, None, linalg.DEFAULT_SVD_THRESHOLD) is None
+    shapes = _record_svd_shapes(monkeypatch)
+    f = truncated_svd(x)
+    assert shapes == [x.shape]  # LAPACK factors X itself
+    assert f.rank == certified.rank and f.tail_bound == 0.0
+    assert f.spectrum.size == min(x.shape)
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dmdc import (
     DivergenceError,
     InvalidInputError,
     NumericalFailureError,
+    SchemaError,
     ShapeError,
     SingularFrequencyError,
     StateSpaceRealization,
@@ -13,10 +16,12 @@ from dmdc import (
     dmdc_fit_known_b,
     dmdc_fit_unknown_b,
     frequency_response,
+    gen_example1,
     gen_example2,
     match_eigenvalues,
     mode_cosine_similarities,
     realize,
+    realize_truth,
     simulate,
     spectral_distance,
 )
@@ -38,6 +43,30 @@ def test_realize_shape_contract_wide_basis():
     ss = realize(model)
     assert ss.c.shape == (100, model.output_rank)
     assert ss.b.shape == (model.output_rank, 2)
+
+
+@pytest.mark.parametrize("a, b, c, match", [
+    pytest.param(np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2)),
+                 r"a must be square, got \(2, 3\)", id="a-not-square"),
+    pytest.param(np.eye(2), np.ones((3, 1)), np.ones((1, 2)),
+                 "b has 3 rows, expected 2", id="b-rows"),
+    pytest.param(np.eye(2), np.ones((2, 1)), np.ones((1, 3)),
+                 "c has 3 columns, expected 2", id="c-columns"),
+])
+def test_realization_shape_errors(a, b, c, match):
+    with pytest.raises(ShapeError, match=match):
+        StateSpaceRealization(a=a, b=b, c=c)
+
+
+@pytest.mark.parametrize("edit, match", [
+    pytest.param({"b_true": None}, "no input map", id="no-b"),
+    pytest.param({"a_true": None, "modes_true": None}, "neither a_true nor modes",
+                 id="no-system"),
+])
+def test_realize_truth_needs_an_input_map_and_a_system(edit, match):
+    truth = gen_example1().truth
+    with pytest.raises(SchemaError, match=match):
+        realize_truth(dataclasses.replace(truth, **edit))
 
 
 def test_realize_dmd_model_has_no_inputs():

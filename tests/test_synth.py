@@ -18,7 +18,7 @@ from dmdc import (
     spectral_distance,
 )
 from dmdc import io as dio
-from dmdc.synth import _plane_waves
+from dmdc.synth import _conjugate_classes, _plane_waves
 from helpers import EX1_A, EX1_B, EX1_UPS, EX1_X, EX1_XP, modal_operator
 
 
@@ -111,6 +111,8 @@ def test_random_inputs_shape_and_determinism():
     np.testing.assert_array_equal(u, gen_random_inputs(l=2, m=101, seed=3))
     with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
         gen_random_inputs(l=2, m=101, seed=-3)
+    with pytest.raises(InvalidConfigError, match="need l >= 1 inputs, got 0"):
+        gen_random_inputs(l=0, m=101)
 
 
 def test_random_inputs_sample_mean_bound():
@@ -192,6 +194,28 @@ def test_sparse_fourier_obeys_modal_truth(actuation):
     assert np.max(np.abs(np.real(w @ c) - snaps)) <= 1e-12 * scale
 
 
+def _conjugate_classes_by_scan(grid, kmax):
+    """The pairs in the order a scan of [-kmax, kmax]^2 first meets them,
+    each by its smaller residue vector, self-conjugate vectors skipped."""
+    reps, seen = [], set()
+    for kx in range(-kmax, kmax + 1):
+        for ky in range(-kmax, kmax + 1):
+            key = (kx % grid, ky % grid)
+            conj = ((-kx) % grid, (-ky) % grid)
+            pair = (min(key, conj), max(key, conj))
+            if key != conj and pair not in seen:
+                seen.add(pair)
+                reps.append(pair[0])
+    return reps
+
+
+def test_conjugate_classes_closed_form_matches_the_scan():
+    # rng.choice picks waves by index, so the order is part of the contract
+    for grid in range(4, 1025):
+        kmax = min(6, grid // 4)
+        assert _conjugate_classes(grid, kmax) == _conjugate_classes_by_scan(grid, kmax)
+
+
 @pytest.mark.parametrize("grid", [16, 128])
 def test_plane_waves_match_direct_exponential(grid):
     # the reference evaluates e^{2 pi i (kx ix + ky iy) / N} on the whole
@@ -245,6 +269,8 @@ def test_sparse_fourier_unforced_dmd_dmdc_agree():
 def test_sparse_fourier_validation():
     with pytest.raises(InvalidConfigError):
         gen_sparse_fourier(grid=24, n_modes=2, m=5)
+    with pytest.raises(InvalidConfigError, match="need n_modes >= 1, got 0"):
+        gen_sparse_fourier(grid=16, n_modes=0, m=5)
     with pytest.raises(InvalidConfigError):
         gen_sparse_fourier(grid=2, n_modes=1, m=5)
     with pytest.raises(InvalidConfigError):
