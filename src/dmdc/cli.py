@@ -53,11 +53,12 @@ def _read_matrix(path, inputs: dict | None, key: str, transpose: bool = False,
     ``shift_of`` is X and the CSV bytes it was parsed from, untransposed,
     when ``path`` names its X': a CSV X' is then read as X advanced one
     column when its bytes show it (``dio.read_shifted_csv``). A ``.bin``
-    read is a read-only view of its bytes. A transposed read of either
-    format is the transpose of the matrix read, a view with no copy.
+    read is a read-only view of its bytes, a map of the file from 1 MiB on
+    (``dio._input_bytes``). A transposed read of either format is the
+    transpose of the matrix read, a view with no copy.
     """
     path = Path(path)
-    data = path.read_bytes()
+    data = dio._input_bytes(path)
     if inputs is not None:
         inputs[key] = dio.Sha256Digest(data)
     if path.suffix == ".bin":

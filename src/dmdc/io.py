@@ -31,7 +31,10 @@ the sha256 of its bytes, so a stale or edited sidecar is rejected.
 Sidecars are written before the index, each atomically.
 
 A ``.bin`` read returns a read-only column-major view of the file's bytes,
-not a copy: the bytes are the array.
+not a copy: the bytes are the array. From ``DIGEST_THREAD_MIN_BYTES`` on
+they are a read-only map of the file, which must not be rewritten in place
+or truncated while its arrays are held (a truncation ends the process with
+SIGBUS); the writers here replace a file only by rename, which is safe.
 
 Each large digest runs on a thread of its own, which waiting for the
 digest joins (``Sha256Digest``); small data is hashed at once. A writer
@@ -46,6 +49,7 @@ import contextlib
 import hashlib
 import json
 import math
+import mmap
 import os
 import secrets
 import struct
@@ -109,8 +113,8 @@ def _hexdigest(data) -> str:
 
 
 class Sha256Digest:
-    """The hex sha256 of ``data`` (bytes or a bytearray), as an object whose
-    ``result()`` returns it, or raises what the hash raised.
+    """The hex sha256 of ``data`` (bytes, a bytearray or an ``mmap``), as an
+    object whose ``result()`` returns it, or raises what the hash raised.
 
     Data of ``DIGEST_THREAD_MIN_BYTES`` or more is hashed on a daemon
     thread that the constructor starts for it alone, while the caller goes
@@ -140,6 +144,16 @@ class Sha256Digest:
         if self._error is not None:
             raise self._error
         return self._hex
+
+
+def _input_bytes(path):
+    """The bytes of the input file at ``path``: a read-only map of a ``.bin``
+    file of ``DIGEST_THREAD_MIN_BYTES`` or more, else a copy."""
+    path = Path(path)
+    if path.suffix == ".bin" and path.stat().st_size >= DIGEST_THREAD_MIN_BYTES:
+        with open(path, "rb") as f:
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    return path.read_bytes()
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -372,13 +386,14 @@ def read_matrix_bin(path, data: bytes | None = None) -> np.ndarray:
     """Read the binary matrix format written by write_matrix_bin.
 
     ``data`` is the file's content when the caller has already read it;
-    ``path`` then only names the file in messages. The result is a
+    ``path`` then only names the file in messages; without it a file of
+    ``DIGEST_THREAD_MIN_BYTES`` or more is mapped. The result is a
     read-only column-major view of the payload in ``data``, not a copy:
     the read adds no n x m array next to the bytes, and a digest of the
     bytes holds nothing beside the array.
     """
     if data is None:
-        data = Path(path).read_bytes()
+        data = _input_bytes(path)
     if len(data) < 8 or data[:8] != BIN_MAGIC:
         raise FormatError(f"{path}: bad magic bytes")
     if len(data) < 24:
@@ -523,7 +538,7 @@ def _read_sidecar(index: Path, entry, where: str, checks: list) -> np.ndarray | 
         raise SchemaError(f"{where}: sidecar {name!r} is not a plain .bin file name")
     side = index.parent / name
     try:
-        data = side.read_bytes()
+        data = _input_bytes(side)
     except FileNotFoundError:
         raise FormatError(f"{side}: sidecar named by {where} is missing") from None
     mat = read_matrix_bin(side, data)
@@ -597,14 +612,19 @@ def write_model(record: ModelRecord, path) -> None:
     The sidecars are ``<stem>_basis.bin``, ``<stem>_modes_re.bin`` and
     ``<stem>_modes_im.bin`` next to ``path``; they are written first and
     the index last. Raises InvalidInputError, before any file is written,
-    if dt is not finite and positive or an entry of a_tilde, b_tilde, the
-    eigenvalues, the basis or the modes is not finite.
+    if dt is not finite and positive, an entry of a_tilde, b_tilde, the
+    eigenvalues, the basis or the modes is not finite, or json cannot
+    encode the provenance.
     """
     if record.kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model kind {record.kind!r}")
     _require_storable(dt=record.dt, a_tilde=record.a_tilde, b_tilde=record.b_tilde,
                       eigenvalues=record.eigenvalues, basis=record.basis,
                       modes=record.modes)
+    try:
+        json.dumps(record.provenance)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"provenance cannot be stored as JSON: {exc}") from None
     path = Path(path)
     doc = {
         "kind": record.kind,

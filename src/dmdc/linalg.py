@@ -34,7 +34,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # residual the certificate rejects, so a bad cut costs time, never accuracy.
 _GRAM_CUT = 1e-12
 # Row block of the certificate residual, which so needs no whole n x m
-# temporary (about 1 MB per block at m = 59).
+# temporary (about 1 MB per block at m = 59); a column-major one takes as
+# many columns as hold as many entries.
 BLOCK_ROWS = 2048
 
 TruncationPolicy = int | float | None
@@ -240,7 +241,8 @@ def _snapshot_svd(a: np.ndarray, rank: int | None, tau: float):
     Q^T a gives the factors. Forming the Gram matrix squares the condition
     number, so nothing is trusted until the residual E = a - Q Q^T a,
     computed directly (a trace difference cancels near 1e-8) and summed
-    over blocks of ``BLOCK_ROWS`` rows, so no n x m E is held, passes the
+    over blocks of about ``BLOCK_ROWS`` rows' entries along the axis ``a``
+    is stored on, so no n x m E is held and no block is strided, passes the
     a-posteriori check of Halko, Martinsson & Tropp (2011). By Weyl's
     inequality every singular value of ``a`` beyond those of Q^T a is at
     most ||E||_F and each of those is within ||E||_F of the exact one, so
@@ -281,10 +283,16 @@ def _snapshot_svd(a: np.ndarray, rank: int | None, tau: float):
     if np.linalg.norm(q.T @ q - np.eye(k)) > rounding:
         return None
     b = q.T @ t
+    # E in blocks along t's stored axis, none strided: BLOCK_ROWS rows, or of
+    # a column-major t the columns that hold as many entries (one at least),
+    # as rows of t^T - b^T Q^T
+    rows, left, right, step = t, q, b, BLOCK_ROWS
+    if t.strides[0] < t.strides[1]:
+        rows, left, right, step = t.T, b.T, q.T, max(1, BLOCK_ROWS * m // n)
     squares = 0.0
-    for i in range(0, n, BLOCK_ROWS):
-        e = q[i:i + BLOCK_ROWS] @ b
-        np.subtract(t[i:i + BLOCK_ROWS], e, out=e)
+    for i in range(0, rows.shape[0], step):
+        e = left[i:i + step] @ right
+        np.subtract(rows[i:i + step], e, out=e)
         e = e.ravel()
         squares += float(e @ e)
     residual = math.sqrt(squares)

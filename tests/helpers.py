@@ -1,6 +1,7 @@
 """Shared fixtures: benchmark matrices, independent oracles, data builders."""
 import gc
 import math
+import mmap
 import tracemalloc
 from pathlib import Path
 
@@ -104,6 +105,13 @@ def peak_bytes(fn) -> int:
     finally:
         if not outer:
             tracemalloc.stop()
+
+
+def is_mapped(a) -> bool:
+    """Whether the ``.base`` chain of the array ``a`` reaches an mmap."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.base if isinstance(a, np.ndarray) else a.obj
+    return isinstance(a, mmap.mmap)
 
 
 def column_sign_match(got, ref, atol):

@@ -31,6 +31,7 @@ from helpers import (
     EX1_UPS,
     EX1_X,
     EX1_XP,
+    is_mapped,
     modal_operator,
     peak_bytes,
     sensor_pair,
@@ -701,6 +702,28 @@ def test_fit_on_large_inputs_records_their_digests(tmp_path, monkeypatch):
         key: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
         for key, path in files.items()
     }
+
+
+def test_large_bin_inputs_are_fitted_mapped_and_still_checked(tmp_path, monkeypatch,
+                                                              capsys):
+    ds = gen_sparse_fourier(grid=64, n_modes=3, m=40, seed=6)
+    files = {"x": tmp_path / "x.bin", "xp": tmp_path / "xp.bin"}
+    for key, path in files.items():
+        dio.write_matrix_bin(getattr(ds, key), path)
+    fitted, fit = [], cli.dmd_fit
+    monkeypatch.setattr(cli, "dmd_fit", lambda *a: fitted.extend(a[:2]) or fit(*a))
+    assert main(["fit", "--x", str(files["x"]), "--xp", str(files["xp"]),
+                 "--out", str(tmp_path / "fit")]) == 0
+    assert len(fitted) == 2 and all(is_mapped(m) for m in fitted)
+    raw = files["x"].read_bytes()
+    for name, data, message in (("short", raw[:-8], "payload"),
+                                ("magic", b"DMDCMAT0" + raw[8:], "magic")):
+        bad, out = tmp_path / f"{name}.bin", tmp_path / f"fit_{name}"
+        bad.write_bytes(data)
+        assert main(["fit", "--x", str(bad), "--xp", str(files["xp"]),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_fit_on_small_inputs_starts_no_thread(tmp_path, monkeypatch):

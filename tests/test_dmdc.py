@@ -309,6 +309,9 @@ def test_fits_hold_no_snapshot_sized_temporaries():
     x, xp, ups, b = sensor_pair(n=8192, m=40)
     unit = x.nbytes
     assert peak_bytes(lambda: dmd_fit(x, xp)) <= 1.2 * unit
+    # as a .bin read gives them: the certificate blocks E along the columns
+    x_f, xp_f = np.asfortranarray(x), np.asfortranarray(xp)
+    assert peak_bytes(lambda: dmd_fit(x_f, xp_f)) <= 1.2 * unit
     # a known-B fit takes B U off the gain, so it adds no n x m array
     assert peak_bytes(lambda: dmdc_fit_known_b(x, xp, ups, b)) <= 1.2 * unit
     # Omega = [X; U] is the one an unknown-B fit adds

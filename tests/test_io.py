@@ -35,6 +35,7 @@ from helpers import (
     EX1_X,
     EX1_XP,
     consistent_forced_data,
+    is_mapped,
     peak_bytes,
     random_diagonalizable,
     read_matrix_csv_per_cell,
@@ -132,6 +133,59 @@ def test_bin_round_trip_snapshot_bitwise(tmp_path):
         entry = json.loads((tmp_path / f"{name}.json").read_text())["files"]["b_true"]
         digest = hashlib.sha256(expected).hexdigest()
         assert entry == {"file": side.name, "sha256": digest}, name
+
+
+# the fewest f64 cells whose .bin file reaches the map cut: 24 + 8 * cells bytes
+_MAPPED_CELLS = (dio.DIGEST_THREAD_MIN_BYTES - 24 + 7) // 8
+
+
+def test_bin_reads_at_the_cut_are_maps(tmp_path):
+    # a .bin input and a sidecar of 1 MiB or more are the file's own pages;
+    # anything smaller is read into memory
+    for cells, mapped in ((_MAPPED_CELLS, True), (_MAPPED_CELLS - 1, False)):
+        a = np.arange(float(cells)).reshape(-1, 1)
+        p = tmp_path / f"{cells}.bin"
+        dio.write_matrix_bin(a, p)
+        assert (p.stat().st_size >= dio.DIGEST_THREAD_MIN_BYTES) == mapped
+        truth = GroundTruth(a_true=None, b_true=a, c_true=None,
+                            eigs_true=np.array([0.5 + 0.0j]), modes_true=None, seed=0)
+        dio.write_truth(truth, tmp_path / f"{cells}.json")
+        side = dio.read_truth(tmp_path / f"{cells}.json")[0].b_true
+        for back in (dio.read_matrix_bin(p), side):
+            assert is_mapped(back) == mapped and not back.flags.writeable
+            np.testing.assert_array_equal(back, a)
+
+
+def test_mapped_model_survives_being_overwritten(tmp_path):
+    # write_model replaces each file by rename, so arrays read from the old
+    # files keep the old bytes
+    rec = next(iter(_records()))
+    rng = np.random.default_rng(41)
+    n, r = 1 << 16, rec.basis.shape[1]
+    records = [dataclasses.replace(rec, basis=rng.standard_normal((n, r)),
+                                   modes=rng.standard_normal((n, r)) + 0j)
+               for _ in range(2)]
+    p = tmp_path / "model.json"
+    dio.write_model(records[0], p)
+    first = dio.read_model(p)
+    assert is_mapped(first.basis)
+    kept = {field: getattr(first, field).copy() for field in _MODEL_ARRAYS}
+    dio.write_model(records[1], p)
+    for field in _MODEL_ARRAYS:
+        assert _same_bits(getattr(first, field), kept[field]), field
+    assert _same_bits(dio.read_model(p).basis, records[1].basis)
+
+
+def test_mapped_bin_length_and_magic_checked(tmp_path):
+    p = tmp_path / "big.bin"
+    dio.write_matrix_bin(np.ones((_MAPPED_CELLS + 1, 1)), p)
+    raw = p.read_bytes()
+    p.write_bytes(raw[:-8])  # still at the cut
+    with pytest.raises(LengthError, match="payload"):
+        dio.read_matrix_bin(p)
+    p.write_bytes(b"DMDCMAT0" + raw[8:])
+    with pytest.raises(FormatError, match="magic"):
+        dio.read_matrix_bin(p)
 
 
 def test_bin_corrupted_magic(tmp_path):
@@ -618,10 +672,19 @@ def test_model_sidecar_contradicting_the_index_rejected(tmp_path, tag, make, mat
 
 
 def test_write_model_rejects_provenance_json_cannot_write(tmp_path):
-    rec = dataclasses.replace(next(iter(_records())), provenance={"when": object()})
-    with pytest.raises(TypeError, match="object is not JSON serializable"):
-        dio.write_model(rec, tmp_path / "m.json")
-    assert not (tmp_path / "m.json").exists()
+    # the provenance is encoded before the first sidecar is written, so the
+    # record already at the path stays whole
+    rec, p = _written_model(tmp_path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    first = dio.read_model(p)
+    bad = dataclasses.replace(rec, provenance={"when": object()})
+    for target in (p, tmp_path / "m.json"):
+        with pytest.raises(InvalidInputError, match="object is not JSON serializable"):
+            dio.write_model(bad, target)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+    back = dio.read_model(p)
+    for field in _MODEL_ARRAYS:
+        assert _same_bits(getattr(back, field), getattr(first, field)), field
 
 
 def _sidecar(index, tag, mat):
@@ -733,6 +796,9 @@ def _model_records(draw):
     )
 
 
+_MODEL_ARRAYS = ("a_tilde", "b_tilde", "basis", "eigenvalues", "modes")
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -748,7 +814,7 @@ def test_model_round_trip_property(rec):
     assert (back.kind, back.input_rank, back.output_rank) == (
         rec.kind, rec.input_rank, rec.output_rank)
     assert back.dt.hex() == rec.dt.hex()
-    for field in ("a_tilde", "b_tilde", "basis", "eigenvalues", "modes"):
+    for field in _MODEL_ARRAYS:
         assert _same_bits(getattr(back, field), getattr(rec, field)), field
     assert back.provenance == rec.provenance
 

@@ -219,14 +219,24 @@ def test_certificate_residual_sums_every_row_block(monkeypatch):
     n, m = 3 * linalg.BLOCK_ROWS + 5, 60
     sigma = np.concatenate([[1.0, 0.5, 0.2], np.full(m - 3, 5e-12)])
     a = _with_spectrum(sigma, n, m, seed=23)
+    # stored column-major, E is summed in column blocks, the last partial
+    step = linalg.BLOCK_ROWS * m // n
+    assert m % step
+    a_f = np.asfortranarray(a)
     shapes = _record_svd_shapes(monkeypatch)
-    for mat in (a, a.T):
+    row_major = {}
+    for mat in (a, a.T, a_f, a_f.T):
         f = truncated_svd(mat)
         assert f.rank == 3 and f.spectrum.size == 3
-        u = f.u if mat is a else f.v
+        u = f.u if mat.shape == a.shape else f.v
         whole = np.linalg.norm(a - u @ (u.T @ a))
         np.testing.assert_allclose(f.tail_bound, whole, rtol=1e-3)
         np.testing.assert_allclose(whole, np.linalg.norm(sigma[3:]), rtol=1e-3)
+        # the column-major case factors as the row-major one of its shape does
+        ref = row_major.setdefault(mat.shape, f)
+        for side in ("u", "sigma", "v"):
+            np.testing.assert_allclose(getattr(f, side), getattr(ref, side),
+                                       rtol=1e-12, atol=1e-13)
     assert (n, m) not in shapes and (m, n) not in shapes
 
 
