@@ -36,12 +36,13 @@ they are a read-only map of the file, which must not be rewritten in place
 or truncated while its arrays are held (a truncation ends the process with
 SIGBUS); the writers here replace a file only by rename, which is safe.
 
-Each large digest runs on a thread of its own, which waiting for the
-digest joins (``Sha256Digest``); small data is hashed at once. A writer
-waits for its sidecars' digests before it writes the index. A reader
-keeps a list of its pending sidecar checks and runs them in ``finally``,
-in the order read: a mismatch is raised in place of any later fault of
-the same record, as if each sidecar had been checked at once.
+Each digest is resolved in the function that starts it. A writer hashes
+a large sidecar on a thread of its own (``Sha256Digest``) while the file
+is written, and joins it before it returns the sidecar's index entry. A
+reader hashes each sidecar on the calling thread as it is read and raises
+at once on a mismatch, before the next sidecar is opened. Only the CLI
+keeps a digest pending past its read: each input's, on a thread for the
+whole fit.
 """
 from __future__ import annotations
 
@@ -119,7 +120,10 @@ class Sha256Digest:
     Data of ``DIGEST_THREAD_MIN_BYTES`` or more is hashed on a daemon
     thread that the constructor starts for it alone, while the caller goes
     on; the caller must leave ``data`` unchanged until ``result()`` returns.
-    Smaller data is hashed before the constructor returns.
+    Smaller data is hashed before the constructor returns. Two callers use
+    it: the CLI, whose input digests run during the whole fit, and
+    ``write_model``/``write_truth``, each of whose sidecar digests runs
+    while that sidecar is written.
     """
 
     def __init__(self, data):
@@ -486,8 +490,7 @@ def _dec_real_matrix(rows, where: str) -> np.ndarray:
 # A sidecar entry in an index is {"file": name, "sha256": hex digest}; a
 # complex matrix is {"re": entry, "im": entry}. Sidecar names are plain
 # ``.bin`` file names resolved next to the index, so an index cannot point
-# a reader elsewhere. A writer's entries hold their pending digests until
-# ``_index_json`` writes them out.
+# a reader elsewhere.
 
 def _write_sidecar(index: Path, tag: str, mat) -> dict | None:
     if mat is None:
@@ -496,32 +499,14 @@ def _write_sidecar(index: Path, tag: str, mat) -> dict | None:
     data = _bin_bytes(mat)
     digest = Sha256Digest(data)  # runs while the file is written
     _atomic_write_bytes(index.parent / name, data)
-    return {"file": name, "sha256": digest}
-
-
-def _digest_hex(obj) -> str:
-    if isinstance(obj, Sha256Digest):
-        return obj.result()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return {"file": name, "sha256": digest.result()}
 
 
 def _index_json(doc: dict) -> str:
-    """The text of an index, each pending sidecar digest waited for."""
-    return json.dumps(doc, indent=1, default=_digest_hex) + "\n"
+    return json.dumps(doc, indent=1) + "\n"
 
 
-def _check_sidecars(checks: list) -> None:
-    """Wait for each pending (digest, expected, where, sidecar) check in the
-    order read and raise SchemaError for the first that does not match.
-    A reader calls this in ``finally``, so a mismatch replaces any error
-    the read raised: that error came from a later step of the read."""
-    for digest, expected, where, side in checks:
-        if digest.result() != expected:
-            raise SchemaError(
-                f"{where}: {side} does not match its sha256 digest") from None
-
-
-def _read_sidecar(index: Path, entry, where: str, checks: list) -> np.ndarray | None:
+def _read_sidecar(index: Path, entry, where: str) -> np.ndarray | None:
     if entry is None:
         return None
     if (
@@ -542,7 +527,8 @@ def _read_sidecar(index: Path, entry, where: str, checks: list) -> np.ndarray | 
     except FileNotFoundError:
         raise FormatError(f"{side}: sidecar named by {where} is missing") from None
     mat = read_matrix_bin(side, data)
-    checks.append((Sha256Digest(data), entry["sha256"], where, side))
+    if _hexdigest(data) != entry["sha256"]:
+        raise SchemaError(f"{where}: {side} does not match its sha256 digest")
     return mat
 
 
@@ -555,14 +541,13 @@ def _write_complex_sidecars(index: Path, tag: str, z) -> dict | None:
     }
 
 
-def _read_complex_sidecars(index: Path, entry, where: str,
-                           checks: list) -> np.ndarray | None:
+def _read_complex_sidecars(index: Path, entry, where: str) -> np.ndarray | None:
     if entry is None:
         return None
     if not isinstance(entry, dict) or entry.keys() != {"re", "im"}:
         raise SchemaError(f"{where}: expected {{re, im}} sidecar entries")
-    re_part = _read_sidecar(index, entry["re"], f"{where}.re", checks)
-    im_part = _read_sidecar(index, entry["im"], f"{where}.im", checks)
+    re_part = _read_sidecar(index, entry["re"], f"{where}.re")
+    im_part = _read_sidecar(index, entry["im"], f"{where}.im")
     if re_part is None or im_part is None or re_part.shape != im_part.shape:
         raise SchemaError(f"{where}: needs real and imaginary parts of one shape")
     z = np.empty(re_part.shape, dtype=np.complex128)
@@ -611,16 +596,21 @@ def write_model(record: ModelRecord, path) -> None:
 
     The sidecars are ``<stem>_basis.bin``, ``<stem>_modes_re.bin`` and
     ``<stem>_modes_im.bin`` next to ``path``; they are written first and
-    the index last. Raises InvalidInputError, before any file is written,
-    if dt is not finite and positive, an entry of a_tilde, b_tilde, the
-    eigenvalues, the basis or the modes is not finite, or json cannot
-    encode the provenance.
+    the index last. Each sidecar's digest runs on a thread while that file
+    is written and is joined before the next sidecar is formatted, so the
+    index holds plain hex digests. Raises InvalidInputError, before any
+    file is written, if dt is not finite and positive, an entry of
+    a_tilde, b_tilde, the eigenvalues, the basis or the modes is not
+    finite, or the provenance is not a dict that json can encode.
     """
     if record.kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model kind {record.kind!r}")
     _require_storable(dt=record.dt, a_tilde=record.a_tilde, b_tilde=record.b_tilde,
                       eigenvalues=record.eigenvalues, basis=record.basis,
                       modes=record.modes)
+    if not isinstance(record.provenance, dict):
+        raise InvalidInputError(
+            f"provenance must be a dict, got {type(record.provenance).__name__}")
     try:
         json.dumps(record.provenance)
     except (TypeError, ValueError) as exc:
@@ -669,9 +659,10 @@ def read_model(path) -> ModelRecord:
     Raises SchemaError on structural problems, a number that is not finite,
     an index that contradicts itself (b_tilde with columns on a "dmd" kind
     or with other than a_tilde's row count, ranks that disagree with
-    a_tilde, a dt that is not finite and positive) or a sidecar that does
-    not match its digest, FormatError for a missing or malformed sidecar
-    and LengthError for a truncated one.
+    a_tilde, a dt that is not finite and positive), a provenance that is
+    not a JSON object or a sidecar that does not match its digest,
+    FormatError for a missing or malformed sidecar and LengthError for a
+    truncated one.
     """
     path = Path(path)
     doc = read_json_object(path, "model")
@@ -682,45 +673,44 @@ def read_model(path) -> ModelRecord:
     rank_r = _require(doc, "rank_r", path)
     if not all(isinstance(r, int) and not isinstance(r, bool) for r in (rank_p, rank_r)):
         raise SchemaError(f"{path}: ranks must be integers")
-    checks = []
-    try:
-        basis = _read_sidecar(path, _require(doc, "basis", path), f"{path}: basis", checks)
-        modes = _read_complex_sidecars(path, _require(doc, "modes", path),
-                                       f"{path}: modes", checks)
-        if basis is None or modes is None:
-            raise SchemaError(f"{path}: basis and modes must name sidecars")
-        record = ModelRecord(
-            kind=kind,
-            input_rank=rank_p,
-            output_rank=rank_r,
-            dt=_read_dt(doc, path),
-            a_tilde=_dec_real_matrix(_require(doc, "a_tilde", path), f"{path}: a_tilde"),
-            b_tilde=_dec_real_matrix(_require(doc, "b_tilde", path), f"{path}: b_tilde"),
-            basis=basis,
-            eigenvalues=_read_eigenvalues(doc, path),
-            modes=modes,
-            provenance=_require(doc, "provenance", path),
+    basis = _read_sidecar(path, _require(doc, "basis", path), f"{path}: basis")
+    modes = _read_complex_sidecars(path, _require(doc, "modes", path), f"{path}: modes")
+    if basis is None or modes is None:
+        raise SchemaError(f"{path}: basis and modes must name sidecars")
+    provenance = _require(doc, "provenance", path)
+    if not isinstance(provenance, dict):
+        raise SchemaError(f"{path}: provenance must be a JSON object, "
+                          f"got {type(provenance).__name__}")
+    record = ModelRecord(
+        kind=kind,
+        input_rank=rank_p,
+        output_rank=rank_r,
+        dt=_read_dt(doc, path),
+        a_tilde=_dec_real_matrix(_require(doc, "a_tilde", path), f"{path}: a_tilde"),
+        b_tilde=_dec_real_matrix(_require(doc, "b_tilde", path), f"{path}: b_tilde"),
+        basis=basis,
+        eigenvalues=_read_eigenvalues(doc, path),
+        modes=modes,
+        provenance=provenance,
+    )
+    r = record.a_tilde.shape[0]
+    if record.a_tilde.shape != (r, r):
+        raise SchemaError(f"{path}: a_tilde must be square")
+    if record.basis.shape[1] != r or record.modes.shape[1] != r:
+        raise SchemaError(f"{path}: basis/modes width disagrees with a_tilde")
+    if record.basis.shape[0] != record.modes.shape[0]:
+        raise SchemaError(f"{path}: basis and modes differ in state dimension")
+    if record.eigenvalues.shape[0] != r:
+        raise SchemaError(f"{path}: eigenvalue count disagrees with a_tilde")
+    if record.b_tilde.shape[0] != r:
+        raise SchemaError(f"{path}: b_tilde row count disagrees with a_tilde")
+    if kind == "dmd" and record.b_tilde.shape[1] != 0:
+        raise SchemaError(f"{path}: b_tilde must have zero columns when kind is 'dmd'")
+    if rank_r != r or rank_p < rank_r:
+        raise SchemaError(
+            f"{path}: ranks p={rank_p}, r={rank_r} disagree with a_tilde "
+            f"order {r} (need r = {r} <= p)"
         )
-        r = record.a_tilde.shape[0]
-        if record.a_tilde.shape != (r, r):
-            raise SchemaError(f"{path}: a_tilde must be square")
-        if record.basis.shape[1] != r or record.modes.shape[1] != r:
-            raise SchemaError(f"{path}: basis/modes width disagrees with a_tilde")
-        if record.basis.shape[0] != record.modes.shape[0]:
-            raise SchemaError(f"{path}: basis and modes differ in state dimension")
-        if record.eigenvalues.shape[0] != r:
-            raise SchemaError(f"{path}: eigenvalue count disagrees with a_tilde")
-        if record.b_tilde.shape[0] != r:
-            raise SchemaError(f"{path}: b_tilde row count disagrees with a_tilde")
-        if kind == "dmd" and record.b_tilde.shape[1] != 0:
-            raise SchemaError(f"{path}: b_tilde must have zero columns when kind is 'dmd'")
-        if rank_r != r or rank_p < rank_r:
-            raise SchemaError(
-                f"{path}: ranks p={rank_p}, r={rank_r} disagree with a_tilde "
-                f"order {r} (need r = {r} <= p)"
-            )
-    finally:
-        _check_sidecars(checks)
     return record
 
 
@@ -772,36 +762,32 @@ def read_truth(path) -> tuple[GroundTruth, float]:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SchemaError(f"{path}: seed must be an integer")
 
-    checks = []
-    try:
-        def _load(tag: str):
-            return _read_sidecar(path, files.get(tag), f"{path}: files.{tag}", checks)
+    def _load(tag: str):
+        return _read_sidecar(path, files.get(tag), f"{path}: files.{tag}")
 
-        truth = GroundTruth(
-            a_true=_load("a_true"),
-            b_true=_load("b_true"),
-            c_true=_load("c_true"),
-            eigs_true=_read_eigenvalues(doc, path),
-            modes_true=_read_complex_sidecars(
-                path, files.get("modes_true"), f"{path}: files.modes_true", checks
-            ),
-            seed=seed,
-        )
-        dt = _read_dt(doc, path)
-        a, modes = truth.a_true, truth.modes_true
-        sides = (("a_true rows", a, 0), ("a_true columns", a, 1),
-                 ("b_true rows", truth.b_true, 0), ("c_true columns", truth.c_true, 1),
-                 ("modes_true rows", modes, 0))
-        dims = {tag: m.shape[axis] for tag, m, axis in sides if m is not None}
-        if len(set(dims.values())) > 1:
-            raise SchemaError(f"{path}: sidecars disagree on the state dimension: {dims}")
-        if modes is not None and modes.shape[1] != truth.eigs_true.size:
-            raise SchemaError(f"{path}: modes_true has {modes.shape[1]} columns for "
-                              f"{truth.eigs_true.size} eigenvalues")
-        if a is not None and a.shape[0] != truth.eigs_true.size:
-            raise SchemaError(f"{path}: a_true has order {a.shape[0]} for "
-                              f"{truth.eigs_true.size} eigenvalues; a truth from an "
-                              "older version must be regenerated with synth")
-    finally:
-        _check_sidecars(checks)
+    truth = GroundTruth(
+        a_true=_load("a_true"),
+        b_true=_load("b_true"),
+        c_true=_load("c_true"),
+        eigs_true=_read_eigenvalues(doc, path),
+        modes_true=_read_complex_sidecars(
+            path, files.get("modes_true"), f"{path}: files.modes_true"
+        ),
+        seed=seed,
+    )
+    dt = _read_dt(doc, path)
+    a, modes = truth.a_true, truth.modes_true
+    sides = (("a_true rows", a, 0), ("a_true columns", a, 1),
+             ("b_true rows", truth.b_true, 0), ("c_true columns", truth.c_true, 1),
+             ("modes_true rows", modes, 0))
+    dims = {tag: m.shape[axis] for tag, m, axis in sides if m is not None}
+    if len(set(dims.values())) > 1:
+        raise SchemaError(f"{path}: sidecars disagree on the state dimension: {dims}")
+    if modes is not None and modes.shape[1] != truth.eigs_true.size:
+        raise SchemaError(f"{path}: modes_true has {modes.shape[1]} columns for "
+                          f"{truth.eigs_true.size} eigenvalues")
+    if a is not None and a.shape[0] != truth.eigs_true.size:
+        raise SchemaError(f"{path}: a_true has order {a.shape[0]} for "
+                          f"{truth.eigs_true.size} eigenvalues; a truth from an "
+                          "older version must be regenerated with synth")
     return truth, dt

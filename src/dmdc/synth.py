@@ -276,6 +276,8 @@ def gen_sparse_fourier(
         raise InvalidConfigError(f"need n_modes >= 1, got {n_modes}")
     _check_snapshot_count(m)
     act = actuation if actuation is not None else ActuationSpec()
+    if act.center is not None and np.shape(act.center) != (2,):
+        raise InvalidConfigError(f"actuation center must be (x, y), got {act.center!r}")
     if not np.all(np.isfinite([act.width, act.amplitude, *(act.center or ())])):
         raise InvalidConfigError(f"actuation spec must be finite, got {act}")
     if act.width <= 0.0:

@@ -440,7 +440,9 @@ def test_write_truth_checks_every_sidecar_before_the_first_write(tmp_path, field
 
 @pytest.fixture(params=["inline", "worker"])
 def digest_route(request, monkeypatch):
-    """Hash sidecars as the small files they are, or each on a thread."""
+    """Write sidecars hashed as the small files they are, or each on a
+    thread of its own; a reader hashes each sidecar as it reads it either
+    way."""
     if request.param == "worker":
         monkeypatch.setattr(dio, "DIGEST_THREAD_MIN_BYTES", 0)
     return request.param
@@ -462,10 +464,49 @@ def test_worker_digest_error_surfaces_from_writer_and_reader(tmp_path, monkeypat
     monkeypatch.setattr(dio, "_hexdigest", failing)
     with pytest.raises(Boom):
         dio.read_model(p)
+    threads.clear()
     with pytest.raises(Boom):
         dio.write_model(rec, tmp_path / "other.json")
     assert not (tmp_path / "other.json").exists()
+    # the writer's digest failed on its own thread and was raised again
     assert threads and threading.main_thread() not in threads
+
+
+def test_readers_hash_inline_and_writers_on_a_thread_per_sidecar(tmp_path, monkeypatch):
+    # even with every digest sent to a thread, a reader checks each sidecar
+    # on the calling thread as it reads it, and a writer hashes each sidecar
+    # on a thread of its own while the file is written
+    monkeypatch.setattr(dio, "DIGEST_THREAD_MIN_BYTES", 0)
+    real = dio._hexdigest
+    hashed_on = []
+
+    def recording(data):
+        hashed_on.append(threading.current_thread())
+        return real(data)
+
+    monkeypatch.setattr(dio, "_hexdigest", recording)
+    rec, p = _written_model(tmp_path)
+    assert len(hashed_on) == len(MODEL_SIDECARS)
+    assert len(set(hashed_on)) == len(MODEL_SIDECARS)
+    assert all(t is not threading.current_thread() and t.name == "dmdc-sha256"
+               for t in hashed_on)
+    truth = gen_example2(n=3, l=1, q=6, m=10, seed=1).truth
+    dio.write_truth(truth, tmp_path / "truth.json")
+    hashed_on.clear()
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    with monkeypatch.context() as m:
+        m.setattr(threading.Thread, "start", counting_start)
+        dio.read_model(p)
+        dio.read_truth(tmp_path / "truth.json")
+    assert started == []
+    # three model sidecars, then a_true, b_true and c_true
+    assert hashed_on == [threading.current_thread()] * 6
 
 
 def test_racing_large_digests_are_right_and_hashed_off_their_callers(monkeypatch):
@@ -634,6 +675,8 @@ def _add_b_tilde(doc):
     pytest.param("dmdc-unknown-b",
                  lambda d: d.update(eigenvalues=[[*z, 0.0] for z in d["eigenvalues"]]),
                  r"eigenvalues must be \[re, im\] rows", id="eigenvalue-rows"),
+    pytest.param("dmd", lambda d: d.update(provenance=[1, 2]),
+                 "provenance must be a JSON object", id="provenance-list"),
 ])
 def test_model_contradictory_index_rejected(tmp_path, kind, edit, match):
     rec = next(r for r in _records() if r.kind == kind)
@@ -678,9 +721,12 @@ def test_write_model_rejects_provenance_json_cannot_write(tmp_path):
     before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
     first = dio.read_model(p)
     bad = dataclasses.replace(rec, provenance={"when": object()})
+    listed = dataclasses.replace(rec, provenance=[1, 2])
     for target in (p, tmp_path / "m.json"):
         with pytest.raises(InvalidInputError, match="object is not JSON serializable"):
             dio.write_model(bad, target)
+        with pytest.raises(InvalidInputError, match="provenance must be a dict, got list"):
+            dio.write_model(listed, target)
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
     back = dio.read_model(p)
     for field in _MODEL_ARRAYS:

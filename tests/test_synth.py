@@ -280,6 +280,10 @@ def test_sparse_fourier_validation():
     with pytest.raises(InvalidConfigError):
         gen_sparse_fourier(grid=16, n_modes=2, m=5,
                            actuation=ActuationSpec(width=0.0))
+    for center in ((1.0,), (1.0, 2.0, 3.0), 1.0):
+        with pytest.raises(InvalidConfigError, match="center must be"):
+            gen_sparse_fourier(grid=8, n_modes=1, m=3,
+                               actuation=ActuationSpec(center=center))
     with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
         gen_sparse_fourier(grid=16, n_modes=2, m=5, seed=-1)
 
